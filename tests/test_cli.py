@@ -216,6 +216,11 @@ GOLDEN_COMMANDS = {
                              "--json"],
     "golden_adjoint.json": ["adjoint", "fermat4.prob", "--w", "01,02,03",
                             "--json"],
+    # certificates depend on the order generators enter each span
+    "golden_torelli_certificates.json": ["torelli", "fermat4_trivial.prob",
+                                         "--json", "--certificates"],
+    "golden_adjoint_certificates.json": ["adjoint", "fermat4.prob", "--w",
+                                         "01,02,03", "--json", "--certificates"],
 }
 
 
