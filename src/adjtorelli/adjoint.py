@@ -53,9 +53,11 @@ from .jacobian import Hypersurface, reduce_mod
 from .polyring import (
     Monomial,
     Polynomial,
+    basis_index,
     gcd_many,
     monomial_basis,
     poly_div_exact,
+    slot_polynomials,
 )
 
 COEFFICIENT_RANGE = 5  # sampled coordinates are uniform in [-5, 5]
@@ -257,42 +259,29 @@ def image_membership(bundle: AdjointBundle, R: Polynomial) -> Optional[ImageCert
     if reduce_mod(h, adjoint).is_zero():
         principal = poly_div_exact(adjoint, h.poly)
         return ImageCertificate(zeros, principal)
-    k = n + h.degree - 1
-    from .jacobian import _poly_vector  # shared dense-vector convention
+    index = basis_index(nvars, n + h.degree - 1)
 
     def dense(poly):
-        vec = _poly_vector(poly, k)
-        width = len(monomial_basis(nvars, k))
-        out = [field.zero] * width
-        for idx, c in vec.items():
-            out[idx] = c
+        out = [field.zero] * len(index)
+        for mono, c in poly.terms.items():
+            out[index[mono]] = c
         return out
 
-    generators = []
+    # slots omega_1..omega_n with degree-2 multipliers, then F with degree n-1
+    slots = [(omega, 2) for omega in bundle.subsystem] + [(h.poly, n - 1)]
     labels = []
-    for i, omega in enumerate(bundle.subsystem):
-        for mono in monomial_basis(nvars, 2):
-            generators.append(dense(omega.mul_monomial(mono)))
-            labels.append(("omega", i, mono))
-    for mono in monomial_basis(nvars, n - 1):
-        generators.append(dense(h.poly.mul_monomial(mono)))
-        labels.append(("f", None, mono))
+    generators = []
+    for slot, (poly, shift) in enumerate(slots):
+        for mono in monomial_basis(nvars, shift):
+            labels.append((slot, mono))
+            generators.append(dense(poly.mul_monomial(mono)))
     cert = solve_in_span(dense(adjoint), generators, field)
     if cert is None:
         return None
-    multipliers = [dict() for _ in range(n)]
-    principal = {}
-    for (kind, i, mono), coeff in zip(labels, cert.coefficients):
-        if not coeff:
-            continue
-        if kind == "omega":
-            multipliers[i][mono] = coeff
-        else:
-            principal[mono] = coeff
-    return ImageCertificate(
-        tuple(Polynomial(nvars, m, field) for m in multipliers),
-        Polynomial(nvars, principal, field),
+    *multipliers, principal = slot_polynomials(
+        zip(labels, cert.coefficients), n + 1, nvars, field
     )
+    return ImageCertificate(tuple(multipliers), principal)
 
 
 def directed_one_form(nvars: int, a: int, b: int, field=QQ) -> ExtForm:

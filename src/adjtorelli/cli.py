@@ -29,7 +29,7 @@ from typing import Optional
 from . import adjoint as adjoint_mod
 from . import jacobian as jacobian_mod
 from . import torelli as torelli_mod
-from .errors import HypothesisViolationError, NotSmoothError, ParseError
+from .errors import HomogeneityError, HypothesisViolationError, NotSmoothError, ParseError
 from .fields import field_from_name
 from .parsing import load_problem
 
@@ -71,7 +71,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--w", required=True,
                    help="comma-separated one-form basis pairs, e.g. 01,02,03 or 0-1,0-2,0-3")
-    p.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
 
     p = sub.add_parser("macaulay", help="socle and duality pairing checks")
     common(p)
@@ -149,8 +148,8 @@ def cmd_torelli(args, stream) -> int:
     field, problem, F, R = _load(args)
     if R is None:
         raise ParseError("torelli needs an R = <expr> line in the problem file")
-    h = jacobian_mod.Hypersurface(F)
     parsed = time.perf_counter()
+    h = jacobian_mod.Hypersurface(F)
     report = torelli_mod.check(h, R, trials=args.trials, seed=args.seed)
     finished = time.perf_counter()
     trials = []
@@ -312,7 +311,7 @@ def cmd_macaulay(args, stream) -> int:
     pairings = []
     for a in degrees:
         matrix = jacobian_mod.pairing_matrix(h, a)
-        perfect = jacobian_mod.macaulay_pairing_check(h, a)
+        perfect = jacobian_mod.pairing_is_perfect(matrix, field)
         pairings.append({
             "a": a,
             "left_dimension": matrix.rows,
@@ -352,7 +351,7 @@ def main(argv=None, stream=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args, stream)
-    except (HypothesisViolationError, NotSmoothError) as exc:
+    except (HypothesisViolationError, NotSmoothError, HomogeneityError) as exc:
         sys.stderr.write(f"hypothesis violation: {exc}\n")
         return EXIT_HYPOTHESIS
     except (ValueError, FileNotFoundError) as exc:

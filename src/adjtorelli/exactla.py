@@ -133,10 +133,6 @@ def rref(m: Matrix, field=QQ) -> Tuple[Matrix, Tuple[int, ...], int]:
     return Matrix(m.rows, m.cols, flat), tuple(pivots), len(pivots)
 
 
-def rank(m: Matrix, field=QQ) -> int:
-    return rref(m, field)[2]
-
-
 def kernel_basis(m: Matrix, field=QQ) -> List[Tuple]:
     """Exact basis of the right kernel; empty iff full column rank."""
     reduced, pivots, _ = rref(m, field)

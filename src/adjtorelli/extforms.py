@@ -38,7 +38,7 @@ from .errors import (
 )
 from .exactla import solve_in_span
 from .fields import QQ
-from .polyring import Polynomial, basis_index, monomial_basis
+from .polyring import Polynomial, basis_index, monomial_basis, slot_polynomials
 
 
 def _merge_indices(left: Tuple[int, ...], right: Tuple[int, ...]):
@@ -380,11 +380,7 @@ def syzygy_decompose(w: ExtForm) -> Tuple[Polynomial, ...]:
     cert = solve_in_span(target, generators, w.field)
     if cert is None:
         raise NoDecompositionError("form is outside the span of the syzygy forms")
-    parts = [dict() for _ in range(nvars)]
-    for (j, mono), coeff in zip(labels, cert.coefficients):
-        if coeff:
-            parts[j][mono] = coeff
-    return tuple(Polynomial(nvars, part, w.field) for part in parts)
+    return slot_polynomials(zip(labels, cert.coefficients), nvars, nvars, w.field)
 
 
 # ----- free-module wedge identities ---------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import (
     FieldConstraintError,
@@ -30,16 +30,36 @@ from .polyring import (
     basis_index,
     monomial_basis,
     monomial_mul,
+    slot_polynomials,
 )
 
 
 @dataclass
 class GradedPiece:
-    """Echelon of one graded piece of an ideal plus bookkeeping."""
+    """Echelon of labelled generators inside S_k plus bookkeeping.
+
+    Generator g carries the label labels[g] = (slot, monomial): it is that
+    monomial times the slot's polynomial, so a reduction's generator
+    combination decodes into one multiplier polynomial per slot.
+    """
 
     echelon: Echelon
     labels: Tuple
     quotient: Tuple[Monomial, ...]
+    k: int
+    slots: int
+
+    def reduce(self, G: Polynomial) -> Tuple[Polynomial, Tuple[Polynomial, ...]]:
+        """Residual of G in S_k modulo the span, and one multiplier per slot:
+        G == residual + sum_slot multiplier[slot] * polynomial[slot].
+
+        The multipliers are meaningful only on a tracking echelon.
+        """
+        residual, combo = self.echelon.reduce(_poly_vector(G, self.k))
+        basis = monomial_basis(G.nvars, self.k)
+        residual = Polynomial(G.nvars, {basis[i]: c for i, c in residual.items()}, G.field)
+        labelled = ((self.labels[g], c) for g, c in combo.items())
+        return residual, slot_polynomials(labelled, self.slots, G.nvars, G.field)
 
 
 def _poly_vector(poly: Polynomial, k: int) -> Dict[int, object]:
@@ -47,26 +67,26 @@ def _poly_vector(poly: Polynomial, k: int) -> Dict[int, object]:
     return {index[m]: c for m, c in poly.terms.items()}
 
 
-def _vector_poly(vec: Dict[int, object], nvars: int, k: int, field) -> Polynomial:
-    basis = monomial_basis(nvars, k)
-    return Polynomial(nvars, {basis[i]: c for i, c in vec.items()}, field)
-
-
-def _ideal_piece(partials, nvars: int, d: int, k: int, field, track: bool) -> GradedPiece:
-    """Echelon of span{m * F_j : deg m = k - d + 1} inside S_k."""
+def _graded_piece(generators: Iterable, slots: int, nvars: int, k: int, field,
+                  track: bool = True) -> GradedPiece:
+    """Echelon of the (label, polynomial) generators, inserted in the order given."""
     echelon = Echelon(field, track=track)
     labels = []
-    shift = k - (d - 1)
-    if shift >= 0:
-        for mono in monomial_basis(nvars, shift):
-            for j in range(nvars):
-                echelon.insert(_poly_vector(partials[j].mul_monomial(mono), k))
-                labels.append((j, mono))
+    for label, poly in generators:
+        echelon.insert(_poly_vector(poly, k))
+        labels.append(label)
     basis = monomial_basis(nvars, k)
-    quotient = tuple(
-        basis[i] for i in echelon.nonpivot_columns(len(basis))
-    )
-    return GradedPiece(echelon, tuple(labels), quotient)
+    quotient = tuple(basis[i] for i in echelon.nonpivot_columns(len(basis)))
+    return GradedPiece(echelon, tuple(labels), quotient, k, slots)
+
+
+def _multiples(polys, nvars: int, shift: int):
+    """Labelled generators m * polys[j] for deg m = shift, monomial-major."""
+    if shift < 0:
+        return
+    for mono in monomial_basis(nvars, shift):
+        for j, poly in enumerate(polys):
+            yield (j, mono), poly.mul_monomial(mono)
 
 
 def is_smooth(F: Polynomial):
@@ -82,7 +102,8 @@ def is_smooth(F: Polynomial):
     nvars = F.nvars
     partials = [F.partial(i) for i in range(nvars)]
     k = nvars * (d - 2) + 1
-    piece = _ideal_piece(partials, nvars, d, k, F.field, track=False)
+    generators = _multiples(partials, nvars, k - (d - 1))
+    piece = _graded_piece(generators, nvars, nvars, k, F.field, track=False)
     witness = comb(nvars - 1 + k, k) - piece.echelon.rank
     return witness == 0, witness
 
@@ -144,11 +165,11 @@ class Hypersurface:
     # ----- cached graded pieces -----------------------------------------
 
     def ideal_piece(self, k: int) -> GradedPiece:
+        """Echelon of span{m * F_j : deg m = k - d + 1} inside S_k."""
         piece = self._ideal.get(k)
         if piece is None:
-            piece = _ideal_piece(
-                self.partials, self.nvars, self.degree, k, self.field, track=True
-            )
+            generators = _multiples(self.partials, self.nvars, k - (self.degree - 1))
+            piece = _graded_piece(generators, self.nvars, self.nvars, k, self.field)
             self._ideal[k] = piece
         return piece
 
@@ -156,16 +177,8 @@ class Hypersurface:
         """Echelon of span{m * F : deg m = k - d} inside S_k."""
         piece = self._principal.get(k)
         if piece is None:
-            echelon = Echelon(self.field, track=True)
-            labels = []
-            shift = k - self.degree
-            if shift >= 0:
-                for mono in monomial_basis(self.nvars, shift):
-                    echelon.insert(_poly_vector(self.poly.mul_monomial(mono), k))
-                    labels.append(mono)
-            basis = monomial_basis(self.nvars, k)
-            quotient = tuple(basis[i] for i in echelon.nonpivot_columns(len(basis)))
-            piece = GradedPiece(echelon, tuple(labels), quotient)
+            generators = _multiples((self.poly,), self.nvars, k - self.degree)
+            piece = _graded_piece(generators, 1, self.nvars, k, self.field)
             self._principal[k] = piece
         return piece
 
@@ -209,18 +222,8 @@ def graded_membership(G: Polynomial, h: Hypersurface) -> Optional[MembershipCert
     k = G.homogeneous_degree()
     if k < h.degree - 1:
         return None
-    piece = h.ideal_piece(k)
-    residual, combo = piece.echelon.reduce(_poly_vector(G, k))
-    if residual:
-        return None
-    parts = [dict() for _ in range(h.nvars)]
-    for gen_idx, coeff in combo.items():
-        j, mono = piece.labels[gen_idx]
-        if coeff:
-            parts[j][mono] = parts[j].get(mono, h.field.zero) + coeff
-    return MembershipCertificate(
-        tuple(Polynomial(h.nvars, part, h.field) for part in parts)
-    )
+    residual, parts = h.ideal_piece(k).reduce(G)
+    return None if residual else MembershipCertificate(parts)
 
 
 def jacobian_ring_dim(h: Hypersurface, k: int) -> int:
@@ -243,9 +246,7 @@ def reduce_mod(h: Hypersurface, G: Polynomial) -> Polynomial:
     k = G.homogeneous_degree()
     if k < h.degree:
         return G
-    piece = h.principal_piece(k)
-    residual, _ = piece.echelon.reduce(_poly_vector(G, k))
-    return _vector_poly(residual, h.nvars, k, h.field)
+    return h.principal_piece(k).reduce(G)[0]
 
 
 @dataclass(frozen=True)
@@ -266,19 +267,8 @@ def deformation_class(h: Hypersurface, R: Polynomial) -> DeformationClass:
         raise HomogeneityError(
             f"deformation polynomial must have degree {h.degree}"
         )
-    k = h.degree
-    piece = h.ideal_piece(k)
-    residual, combo = piece.echelon.reduce(_poly_vector(R, k))
-    representative = _vector_poly(residual, h.nvars, k, h.field)
-    parts = [dict() for _ in range(h.nvars)]
-    for gen_idx, coeff in combo.items():
-        j, mono = piece.labels[gen_idx]
-        if coeff:
-            parts[j][mono] = parts[j].get(mono, h.field.zero) + coeff
-    certificate = MembershipCertificate(
-        tuple(Polynomial(h.nvars, part, h.field) for part in parts)
-    )
-    return DeformationClass(R, representative, certificate)
+    representative, parts = h.ideal_piece(h.degree).reduce(R)
+    return DeformationClass(R, representative, MembershipCertificate(parts))
 
 
 def pairing_matrix(h: Hypersurface, a: int) -> Matrix:
@@ -313,8 +303,12 @@ def pairing_matrix(h: Hypersurface, a: int) -> Matrix:
 
 def macaulay_pairing_check(h: Hypersurface, a: int) -> bool:
     """True iff the multiplication pairing into the socle degree is perfect."""
-    m = pairing_matrix(h, a)
+    return pairing_is_perfect(pairing_matrix(h, a), h.field)
+
+
+def pairing_is_perfect(m: Matrix, field) -> bool:
+    """True iff a pairing matrix has full rank; an empty one must be 0 x 0."""
     if m.rows == 0 or m.cols == 0:
         return m.rows == m.cols
-    _, _, rank = rref(m, h.field)
+    _, _, rank = rref(m, field)
     return rank == min(m.rows, m.cols)

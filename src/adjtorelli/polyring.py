@@ -25,10 +25,6 @@ from .fields import QQ
 Monomial = Tuple[int, ...]
 
 
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -319,16 +315,18 @@ class Polynomial:
 # ----- module-level operations -------------------------------------------
 
 
-def add(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a + b
+def slot_polynomials(pairs, slots: int, nvars: int, field=QQ) -> Tuple[Polynomial, ...]:
+    """One polynomial per slot from ((slot, monomial), coeff) pairs.
 
-
-def mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a * b
-
-
-def partial(f: Polynomial, i: int) -> Polynomial:
-    return f.partial(i)
+    This decodes a span certificate whose generators are labelled
+    (slot, monomial), i.e. monomial times the slot's polynomial: the result
+    holds, for each slot, the multiplier of that slot's polynomial.
+    """
+    parts = [dict() for _ in range(slots)]
+    for (slot, mono), coeff in pairs:
+        if coeff:
+            parts[slot][mono] = parts[slot].get(mono, field.zero) + coeff
+    return tuple(Polynomial(nvars, part, field) for part in parts)
 
 
 def euler_pair(f: Polynomial) -> Polynomial:

@@ -88,14 +88,17 @@ def _validate(h: Hypersurface, R: Polynomial):
 def check(h: Hypersurface, R: Polynomial, trials: int = 3, seed: int = 0) -> TorelliReport:
     """Evaluate the equivalent triviality conditions for (h, R).
 
-    Ideal membership of R is decided once; the adjoint-side conditions are
+    Ideal membership of R is decided once, by reducing R to its canonical
+    representative (zero exactly for members); the adjoint-side conditions are
     evaluated on `trials` independently sampled W-systems.  The whole run is
     deterministic in (h, R, trials, seed).
     """
     _validate(h, R)
-    r_certificate = graded_membership(R, h)
-    r_in_jacobian = r_certificate is not None
-    representative = deformation_class(h, R).representative
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    r_class = deformation_class(h, R)
+    r_in_jacobian = r_class.representative.is_zero()
+    r_certificate = r_class.certificate if r_in_jacobian else None
     outcomes = []
     for t in range(trials):
         bundle, attempts = sample_bundle(h, seed, t)
@@ -144,7 +147,7 @@ def check(h: Hypersurface, R: Polynomial, trials: int = 3, seed: int = 0) -> Tor
     return TorelliReport(
         r_in_jacobian=r_in_jacobian,
         r_certificate=r_certificate,
-        reduced_representative=representative,
+        reduced_representative=r_class.representative,
         trials=tuple(outcomes),
         verdict=verdict,
         consistency=consistency,

@@ -181,6 +181,8 @@ def test_input_error_exit_code(tmp_path):
     bad.write_text("n = 3\nF = x0^4 +\n")
     code, _ = run_cli("jacobian", str(bad))
     assert code == 1
+    code, _ = run_cli("torelli", str(DATA / "fermat4.prob"), "--trials", "-2")
+    assert code == 1
 
 
 def test_missing_file_exit_code():
@@ -192,6 +194,10 @@ def test_hypothesis_violation_exit_code(tmp_path):
     cubic = tmp_path / "cubic.prob"
     cubic.write_text("n = 3\nF = x0^3 + x1^3 + x2^3 + x3^3\nR = x0*x1*x2\n")
     code, _ = run_cli("torelli", str(cubic))
+    assert code == 2
+    wrong_degree = tmp_path / "wrong_degree.prob"
+    wrong_degree.write_text("n = 3\nF = x0^4 + x1^4 + x2^4 + x3^4\nR = x0*x1*x2\n")
+    code, _ = run_cli("torelli", str(wrong_degree))
     assert code == 2
 
 
