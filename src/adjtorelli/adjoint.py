@@ -56,7 +56,6 @@ from .polyring import (
     basis_index,
     gcd_many,
     monomial_basis,
-    poly_div_exact,
     slot_polynomials,
 )
 
@@ -86,26 +85,44 @@ class WSystem:
         return self.forms[0].field
 
 
+def _form_from_coords(nvars: int, row, field) -> ExtForm:
+    """The one-form with coordinates row (field elements) over basis_one_form."""
+    form = ExtForm.zero(nvars, 1, field)
+    for c, (i, j) in zip(row, eta_basis_pairs(nvars)):
+        if c:
+            form = form + basis_one_form(nvars, i, j, field).scale(c)
+    return form
+
+
 def eta_coordinates(form: ExtForm) -> Tuple:
     """Coordinates of a grade-1 form over the basis_one_form basis.
 
     Raises NonEulerNullError when the form is not an exact combination of
     basis one-forms (equivalently, not Euler-null with linear coefficients).
     """
-    nvars, field = form.nvars, form.field
-    coords = []
-    for (i, j) in eta_basis_pairs(nvars):
-        unit = tuple(1 if t == i else 0 for t in range(nvars))
-        coords.append(form.coefficient((j,)).coefficient(unit))
-    rebuilt = ExtForm.zero(nvars, 1, field)
-    for c, (i, j) in zip(coords, eta_basis_pairs(nvars)):
-        if c:
-            rebuilt = rebuilt + basis_one_form(nvars, i, j, field).scale(c)
-    if rebuilt != form:
+    nvars = form.nvars
+    coords = tuple(
+        form.coefficient((j,)).coefficient(tuple(int(t == i) for t in range(nvars)))
+        for (i, j) in eta_basis_pairs(nvars)
+    )
+    if _form_from_coords(nvars, coords, form.field) != form:
         raise NonEulerNullError(
             "form is not a combination of the Euler-null one-form basis"
         )
-    return tuple(coords)
+    return coords
+
+
+def _check_count(nvars: int, count: int):
+    if count != nvars - 1:
+        raise DependentSystemError(f"need exactly {nvars - 1} one-forms, got {count}")
+
+
+def _independent_system(forms, coords, field, provenance: str) -> WSystem:
+    """The W-system, once the coordinate rows are known to be independent."""
+    _, _, matrix_rank = rref(Matrix.from_rows([list(row) for row in coords]), field)
+    if matrix_rank != len(coords):
+        raise DependentSystemError("one-forms are linearly dependent")
+    return WSystem(tuple(forms), tuple(coords), provenance)
 
 
 def wsystem_from_forms(forms: Sequence[ExtForm], provenance: str = "explicit") -> WSystem:
@@ -114,36 +131,28 @@ def wsystem_from_forms(forms: Sequence[ExtForm], provenance: str = "explicit") -
         raise ValueError("empty system")
     nvars = forms[0].nvars
     field = forms[0].field
-    if len(forms) != nvars - 1:
-        raise DependentSystemError(
-            f"need exactly {nvars - 1} one-forms, got {len(forms)}"
-        )
+    _check_count(nvars, len(forms))
     for f in forms:
         if f.nvars != nvars or f.field != field:
             raise VariableCountMismatchError("mixed coordinate spaces in one system")
         if f.grade != 1:
             raise ValueError("system entries must be one-forms")
-    coords = tuple(eta_coordinates(f) for f in forms)
-    m = Matrix.from_rows([list(row) for row in coords])
-    _, _, matrix_rank = rref(m, field)
-    if matrix_rank != len(forms):
-        raise DependentSystemError("one-forms are linearly dependent")
-    return WSystem(forms, coords, provenance)
+    coords = [eta_coordinates(f) for f in forms]
+    return _independent_system(forms, coords, field, provenance)
 
 
 def wsystem_from_coords(nvars: int, rows, field=QQ, provenance: str = "explicit") -> WSystem:
-    forms = []
-    pairs = eta_basis_pairs(nvars)
+    width = len(eta_basis_pairs(nvars))
+    coords = []
     for row in rows:
-        if len(row) != len(pairs):
-            raise ValueError(f"expected {len(pairs)} coordinates per form")
-        form = ExtForm.zero(nvars, 1, field)
-        for c, (i, j) in zip(row, pairs):
-            c = field.coerce(c)
-            if c:
-                form = form + basis_one_form(nvars, i, j, field).scale(c)
-        forms.append(form)
-    return wsystem_from_forms(forms, provenance)
+        if len(row) != width:
+            raise ValueError(f"expected {width} coordinates per form")
+        coords.append(tuple(field.coerce(c) for c in row))
+    if not coords:
+        raise ValueError("empty system")
+    _check_count(nvars, len(coords))
+    forms = [_form_from_coords(nvars, row, field) for row in coords]
+    return _independent_system(forms, coords, field, provenance)
 
 
 def sample_wsystem(nvars: int, rng: random.Random, field=QQ,
@@ -173,6 +182,7 @@ class AdjointBundle:
     coeff_rows: Tuple[Tuple[Polynomial, ...], ...]  # syzygy decompositions
     subsystem: Tuple[Polynomial, ...]     # omega_i reduced modulo F
     degenerate: bool                      # top_poly == 0
+    fixed_divisor: Optional[Polynomial]   # nonconstant gcd of the subsystem
 
 
 def build_bundle(h: Hypersurface, system: WSystem) -> AdjointBundle:
@@ -180,7 +190,9 @@ def build_bundle(h: Hypersurface, system: WSystem) -> AdjointBundle:
 
     Requires degree > 2 (which makes the one-form liftings unique) and
     n >= 2.  The degenerate flag is set when the base polynomial vanishes;
-    the subsystem is still populated but callers should resample.
+    the subsystem is still populated but callers should resample.  Otherwise,
+    unless every subsystem polynomial vanishes, the subsystem's gcd is taken
+    here, once, and kept when it is nonconstant.
     """
     if h.degree <= 2:
         raise HypothesisViolationError("pipeline needs hypersurface degree > 2")
@@ -204,6 +216,11 @@ def build_bundle(h: Hypersurface, system: WSystem) -> AdjointBundle:
         for a, partial in zip(row, h.partials):
             total = total + a * partial
         subsystem.append(reduce_mod(h, total))
+    degenerate = top_poly.is_zero()
+    fixed_divisor = None
+    if not degenerate and any(subsystem):
+        g = gcd_many(subsystem)
+        fixed_divisor = g if g.total_degree() else None
     return AdjointBundle(
         hypersurface=h,
         system=system,
@@ -212,16 +229,15 @@ def build_bundle(h: Hypersurface, system: WSystem) -> AdjointBundle:
         omit_forms=omit_forms,
         coeff_rows=coeff_rows,
         subsystem=tuple(subsystem),
-        degenerate=top_poly.is_zero(),
+        degenerate=degenerate,
+        fixed_divisor=fixed_divisor,
     )
 
 
 def canonical_adjoint(bundle: AdjointBundle, R: Polynomial) -> Polynomial:
     """reduce_mod(P * R): the canonical adjoint polynomial of degree n+d-1."""
     h = bundle.hypersurface
-    h._check_input(R)
-    if not R.is_zero() and R.homogeneous_degree() != h.degree:
-        raise HomogeneityError(f"adjoint needs deg R = {h.degree}")
+    h._check_deformation(R)
     return reduce_mod(h, bundle.top_poly * R)
 
 
@@ -248,16 +264,14 @@ def image_membership(bundle: AdjointBundle, R: Polynomial) -> Optional[ImageCert
     if bundle.degenerate:
         raise DegenerateBundleError("cannot test image membership: base polynomial is 0")
     h = bundle.hypersurface
-    h._check_input(R)
-    if not R.is_zero() and R.homogeneous_degree() != h.degree:
-        raise HomogeneityError(f"image test needs deg R = {h.degree}")
+    h._check_deformation(R)
     n, nvars, field = h.n, h.nvars, h.field
     adjoint = bundle.top_poly * R
-    zeros = tuple(Polynomial.zero(nvars, field) for _ in range(n))
-    if adjoint.is_zero():
-        return ImageCertificate(zeros, Polynomial.zero(nvars, field))
-    if reduce_mod(h, adjoint).is_zero():
-        principal = poly_div_exact(adjoint, h.poly)
+    # a multiple of F is in the image with zero multipliers; its quotient by
+    # F is unique, so the principal piece's certificate is that quotient
+    residual, (principal,) = h.principal_piece(n + h.degree - 1).reduce(adjoint)
+    if residual.is_zero():
+        zeros = tuple(Polynomial.zero(nvars, field) for _ in range(n))
         return ImageCertificate(zeros, principal)
     index = basis_index(nvars, n + h.degree - 1)
 
@@ -330,18 +344,15 @@ def monomial_to_adjoint(nvars: int, mono: Monomial, field=QQ) -> WSystem:
 def fixed_divisor_witness(bundle: AdjointBundle) -> Optional[Polynomial]:
     """A nonconstant common divisor of the subsystem polynomials, if any.
 
-    Computed by iterated multivariate gcd over the field.  None certifies
-    that the subsystem has no common polynomial factor, hence cuts no fixed
-    divisor out of the hypersurface.
+    build_bundle computes it by iterated multivariate gcd over the field.
+    None certifies that the subsystem has no common polynomial factor, hence
+    cuts no fixed divisor out of the hypersurface.
     """
     if bundle.degenerate:
         raise DegenerateBundleError("no divisor data on a degenerate bundle")
-    if all(omega.is_zero() for omega in bundle.subsystem):
+    if not any(bundle.subsystem):
         raise DegenerateBundleError("all subsystem polynomials vanish")
-    g = gcd_many(bundle.subsystem)
-    if g.total_degree() and g.total_degree() > 0:
-        return g
-    return None
+    return bundle.fixed_divisor
 
 
 def gradient_form(h: Hypersurface) -> ExtForm:
@@ -398,8 +409,7 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(seed * 1_000_003 + trial)
 
 
-def sample_bundle(h: Hypersurface, seed: int, trial: int,
-                  max_resamples: int = MAX_RESAMPLES):
+def sample_bundle(h: Hypersurface, seed: int, trial: int):
     """Sample W-systems until the bundle is usable, with a resample cap.
 
     A draw is rejected when the forms are dependent, the base polynomial
@@ -409,23 +419,17 @@ def sample_bundle(h: Hypersurface, seed: int, trial: int,
     """
     rng = trial_rng(seed, trial)
     last = None
-    attempts = 0
-    for attempt in range(max_resamples + 1):
-        attempts = attempt + 1
+    for attempt in range(MAX_RESAMPLES + 1):
         provenance = f"sampled(seed={seed}, trial={trial}, attempt={attempt})"
         try:
             system = sample_wsystem(h.nvars, rng, h.field, provenance)
         except DependentSystemError:
             continue
-        bundle = build_bundle(h, system)
-        last = bundle
-        if bundle.degenerate:
-            continue
-        if fixed_divisor_witness(bundle) is not None:
-            continue
-        return bundle, attempts
+        last = bundle = build_bundle(h, system)
+        if not bundle.degenerate and fixed_divisor_witness(bundle) is None:
+            return bundle, attempt + 1
     if last is None:
         raise DependentSystemError(
-            f"no independent system found in {max_resamples + 1} draws"
+            f"no independent system found in {MAX_RESAMPLES + 1} draws"
         )
-    return last, attempts
+    return last, MAX_RESAMPLES + 1

@@ -14,7 +14,7 @@ must never happen on valid inputs).
 JSON reports (--json) are emitted with sorted keys and no volatile content,
 so identical inputs produce byte-identical output; wall-clock timings are
 opt-in via --timings.  Certificates can be large and are included only
-under --certificates.
+under --certificates, which the three commands that produce them accept.
 """
 
 from __future__ import annotations
@@ -47,33 +47,34 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("file", help="problem file (lines: n = ..., F = ..., R = ...)")
         p.add_argument("--field", default="q",
                        help="coefficient field: q (rationals) or p:PRIME")
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--certificates", action="store_true",
-                       help="include exact certificates in the report")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timings in the report")
+        return p
 
-    p = sub.add_parser("torelli", help="deformation-triviality equivalence suite")
-    common(p)
+    def certified(p):
+        p.add_argument("--certificates", action="store_true",
+                       help="include exact certificates in the report")
+        return p
+
+    p = certified(command("torelli", "deformation-triviality equivalence suite"))
     p.add_argument("--trials", type=int, default=3, help="generic W trials (default 3)")
     p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
 
-    p = sub.add_parser("jacobian", help="quotient dimensions and membership")
-    common(p)
+    p = certified(command("jacobian", "quotient dimensions and membership"))
     p.add_argument("--degree", type=int, default=None,
                    help="graded degree to inspect (default: the degree of F)")
 
-    p = sub.add_parser("adjoint", help="pipeline for one explicit W-system")
-    common(p)
+    p = certified(command("adjoint", "pipeline for one explicit W-system"))
     p.add_argument("--w", required=True,
                    help="comma-separated one-form basis pairs, e.g. 01,02,03 or 0-1,0-2,0-3")
 
-    p = sub.add_parser("macaulay", help="socle and duality pairing checks")
-    common(p)
+    p = command("macaulay", "socle and duality pairing checks")
     p.add_argument("--a", default=None,
                    help="comma-separated pairing degrees (default: all 0..socle)")
     return parser
@@ -250,26 +251,19 @@ def cmd_adjoint(args, stream) -> int:
     ]
     system = adjoint_mod.wsystem_from_forms(forms, provenance="explicit")
     bundle = adjoint_mod.build_bundle(h, system)
-    witness = None
+    witness = None if bundle.degenerate else adjoint_mod.fixed_divisor_witness(bundle)
     subsystem_membership = []
     sub_certs = []
-    if not bundle.degenerate:
-        witness = adjoint_mod.fixed_divisor_witness(bundle)
     for omega in bundle.subsystem:
         cert = jacobian_mod.graded_membership(omega, h)
         subsystem_membership.append(cert is not None)
         sub_certs.append(cert)
-    in_image = None
-    in_jacobian = None
-    image_cert = None
-    adjoint_cert = None
-    adjoint_poly = None
-    if R is not None and not bundle.degenerate:
+    image_cert = adjoint_poly = adjoint_cert = None
+    tested = R is not None and not bundle.degenerate
+    if tested:
         image_cert = adjoint_mod.image_membership(bundle, R)
-        in_image = image_cert is not None
         adjoint_poly = adjoint_mod.canonical_adjoint(bundle, R)
         adjoint_cert = jacobian_mod.graded_membership(adjoint_poly, h)
-        in_jacobian = adjoint_cert is not None
     finished = time.perf_counter()
     out = {
         "command": "adjoint",
@@ -281,8 +275,8 @@ def cmd_adjoint(args, stream) -> int:
             "subsystem_in_jacobian_ideal": subsystem_membership,
             "fixed_divisor": str(witness) if witness else None,
             "canonical_adjoint": str(adjoint_poly) if adjoint_poly is not None else None,
-            "in_image": in_image,
-            "in_jacobian_ideal": in_jacobian,
+            "in_image": image_cert is not None if tested else None,
+            "in_jacobian_ideal": adjoint_cert is not None if tested else None,
         },
     }
     if args.certificates:

@@ -54,10 +54,12 @@ class FieldConstraintError(ValueError):
 
 
 class ParseError(ValueError):
-    """Syntax or semantic error in an input expression or problem file."""
+    """Syntax or semantic error in an input expression, problem file or flag;
+    the message names a source position only when the caller passes one."""
 
-    def __init__(self, message, line=1, column=1):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message, line=None, column=1):
+        where = "" if line is None else f" (line {line}, column {column})"
+        super().__init__(message + where)
         self.message = message
         self.line = line
         self.column = column

@@ -194,6 +194,14 @@ class Hypersurface:
         if G.field != self.field:
             raise FieldMismatchError("polynomial over a different field")
 
+    def _check_deformation(self, R: Polynomial):
+        """The degree-d gate: R is over this ring and 0 or homogeneous of degree d."""
+        self._check_input(R)
+        if not R.is_zero() and R.homogeneous_degree() != self.degree:
+            raise HomogeneityError(
+                f"deformation polynomial must be homogeneous of degree {self.degree}"
+            )
+
 
 @dataclass(frozen=True)
 class MembershipCertificate:
@@ -262,11 +270,7 @@ class DeformationClass:
 
 
 def deformation_class(h: Hypersurface, R: Polynomial) -> DeformationClass:
-    h._check_input(R)
-    if not R.is_zero() and R.homogeneous_degree() != h.degree:
-        raise HomogeneityError(
-            f"deformation polynomial must have degree {h.degree}"
-        )
+    h._check_deformation(R)
     representative, parts = h.ideal_piece(h.degree).reduce(R)
     return DeformationClass(R, representative, MembershipCertificate(parts))
 

@@ -182,13 +182,15 @@ class ProblemFile:
     nvars: int
     f_text: str
     r_text: Optional[str]
+    f_line: int
+    r_line: Optional[int]
 
     def build(self, field=QQ) -> Tuple[Polynomial, Optional[Polynomial]]:
-        F = parse_polynomial(self.f_text, self.nvars, field,
+        F = parse_polynomial(self.f_text, self.nvars, field, line=self.f_line,
                              require_homogeneous=True)
         R = None
         if self.r_text is not None:
-            R = parse_polynomial(self.r_text, self.nvars, field,
+            R = parse_polynomial(self.r_text, self.nvars, field, line=self.r_line,
                                  require_homogeneous=True)
         return F, R
 
@@ -212,9 +214,9 @@ def parse_problem_text(text: str) -> ProblemFile:
         values[key] = value
         lines[key] = lineno
     if "n" not in values:
-        raise ParseError("missing 'n = <int>' line", 1, 1)
+        raise ParseError("missing 'n = <int>' line")
     if "F" not in values:
-        raise ParseError("missing 'F = <expr>' line", 1, 1)
+        raise ParseError("missing 'F = <expr>' line")
     try:
         n = int(values["n"])
     except ValueError:
@@ -226,6 +228,8 @@ def parse_problem_text(text: str) -> ProblemFile:
         nvars=n + 1,
         f_text=values["F"],
         r_text=values.get("R"),
+        f_line=lines["F"],
+        r_line=lines.get("R"),
     )
 
 

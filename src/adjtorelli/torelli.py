@@ -78,8 +78,8 @@ def _validate(h: Hypersurface, R: Polynomial):
         raise HypothesisViolationError(
             f"hypersurface degree must exceed 3, got d = {h.degree}"
         )
-    h._check_input(R)
-    if R.is_zero() or R.homogeneous_degree() != h.degree:
+    h._check_deformation(R)
+    if R.is_zero():
         raise HomogeneityError(
             f"deformation polynomial must be homogeneous of degree {h.degree}"
         )
@@ -103,36 +103,23 @@ def check(h: Hypersurface, R: Polynomial, trials: int = 3, seed: int = 0) -> Tor
     for t in range(trials):
         bundle, attempts = sample_bundle(h, seed, t)
         witness = None if bundle.degenerate else fixed_divisor_witness(bundle)
-        unusable = bundle.degenerate or witness is not None
-        if unusable:
-            outcomes.append(TrialOutcome(
-                index=t,
-                provenance=bundle.system.provenance,
-                attempts=attempts,
-                degenerate=True,
-                divisor_witness=witness,
-                in_image=None,
-                image_certificate=None,
-                in_jacobian=None,
-                jacobian_certificate=None,
-                base_poly=None,
-                adjoint_poly=None,
-            ))
-            continue
-        image_cert = image_membership(bundle, R)
-        adjoint_poly = canonical_adjoint(bundle, R)
-        jac_cert = graded_membership(adjoint_poly, h)
+        usable = not bundle.degenerate and witness is None
+        image_cert = adjoint_poly = jac_cert = None
+        if usable:
+            image_cert = image_membership(bundle, R)
+            adjoint_poly = canonical_adjoint(bundle, R)
+            jac_cert = graded_membership(adjoint_poly, h)
         outcomes.append(TrialOutcome(
             index=t,
             provenance=bundle.system.provenance,
             attempts=attempts,
-            degenerate=False,
+            degenerate=not usable,
             divisor_witness=witness,
-            in_image=image_cert is not None,
+            in_image=image_cert is not None if usable else None,
             image_certificate=image_cert,
-            in_jacobian=jac_cert is not None,
+            in_jacobian=jac_cert is not None if usable else None,
             jacobian_certificate=jac_cert,
-            base_poly=bundle.top_poly,
+            base_poly=bundle.top_poly if usable else None,
             adjoint_poly=adjoint_poly,
         ))
     usable = [o for o in outcomes if not o.degenerate]
@@ -169,8 +156,8 @@ def monomial_product_criterion(h: Hypersurface, R: Polynomial):
         raise HypothesisViolationError(
             f"criterion needs hypersurface degree > 3, got d = {h.degree}"
         )
-    h._check_input(R)
-    if R.is_zero() or R.homogeneous_degree() != h.degree:
+    h._check_deformation(R)
+    if R.is_zero():
         raise HomogeneityError(
             f"deformation polynomial must be homogeneous of degree {h.degree}"
         )

@@ -31,6 +31,7 @@ from adjtorelli.extforms import (
     divide_by_fundamental,
     wedge_all,
 )
+from adjtorelli.fields import QQ, PrimeField
 from adjtorelli.jacobian import Hypersurface, graded_membership, reduce_mod
 from adjtorelli.polyring import Polynomial, monomial_basis, poly_div_exact
 
@@ -57,14 +58,40 @@ def test_eta_coordinates_reject_non_euler_null():
         eta_coordinates(form)
 
 
+def test_coords_and_forms_build_the_same_system():
+    rows = [(1, 0, -2, 0, 3, 0), (0, 1, 1, 1, 0, 0), (0, 0, 0, 0, 1, -1)]
+    for field in (QQ, PrimeField(7)):
+        forms = []
+        for row in rows:
+            form = ExtForm.zero(4, 1, field)
+            for c, (i, j) in zip(row, eta_basis_pairs(4)):
+                form = form + basis_one_form(4, i, j, field).scale(c)
+            forms.append(form)
+        from_coords = wsystem_from_coords(4, rows, field)
+        from_forms = wsystem_from_forms(forms)
+        assert from_coords.forms == from_forms.forms == tuple(forms)
+        assert from_coords.coords == from_forms.coords
+
+
 def test_dependent_system_rejected():
     with pytest.raises(DependentSystemError):
         eta_system((0, 1), (0, 2), (0, 1))
+    rows = [(1, 0, -2, 0, 3, 0), (0, 1, 1, 1, 0, 0), (1, 1, -1, 1, 3, 0)]
+    with pytest.raises(DependentSystemError):
+        wsystem_from_coords(4, rows)
 
 
 def test_wrong_count_rejected():
     with pytest.raises(DependentSystemError):
         eta_system((0, 1), (0, 2))
+    with pytest.raises(DependentSystemError):
+        wsystem_from_coords(4, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
+    with pytest.raises(ValueError, match="coordinates per form"):
+        wsystem_from_coords(4, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    for build in (lambda: wsystem_from_forms([]), lambda: wsystem_from_coords(4, [])):
+        with pytest.raises(ValueError, match="empty system") as info:
+            build()
+        assert type(info.value) is ValueError
 
 
 # ----- bundle construction ----------------------------------------------------
@@ -169,6 +196,7 @@ def test_image_membership_r_equals_f(fermat_quartic):
     cert = image_membership(bundle, h.poly)
     assert cert is not None
     assert all(s.is_zero() for s in cert.multipliers)
+    assert cert.principal == bundle.top_poly
     assert cert.verify(bundle, h.poly)
 
 

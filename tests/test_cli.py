@@ -99,6 +99,16 @@ def test_problem_file_rejects_unknown_key():
         parse_problem_text("n = 3\nF = x0^4\nQ = x1\n")
 
 
+def test_problem_file_errors_name_the_line_of_f_and_r():
+    with pytest.raises(ParseError) as info:
+        parse_problem_text("n = 3\nF = x0^4 + x1\n").build()
+    assert info.value.line == 2
+    assert "(line 2, column 1)" in str(info.value)
+    with pytest.raises(ParseError) as info:
+        parse_problem_text("n = 3\n\nF = x0^4 + x1^4 + x2^4 + x3^4\nR = x0 + ^\n").build()
+    assert info.value.line == 4
+
+
 def test_problem_file_rejects_duplicates():
     with pytest.raises(ParseError, match="duplicate"):
         parse_problem_text("n = 1\nn = 2\nF = x0^2\n")
@@ -176,13 +186,20 @@ def test_certificates_flag_includes_multipliers():
     assert report["certificates"]["r_membership"] is None  # R not in the ideal
 
 
-def test_input_error_exit_code(tmp_path):
+def test_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.prob"
     bad.write_text("n = 3\nF = x0^4 +\n")
     code, _ = run_cli("jacobian", str(bad))
     assert code == 1
     code, _ = run_cli("torelli", str(DATA / "fermat4.prob"), "--trials", "-2")
     assert code == 1
+    code, _ = run_cli("macaulay", str(DATA / "fermat4.prob"), "--certificates")
+    assert code == 1
+    capsys.readouterr()
+    # a flag error names no source position
+    code, _ = run_cli("jacobian", str(DATA / "fermat4.prob"), "--degree", "-1")
+    assert code == 1
+    assert capsys.readouterr().err == "input error: --degree must be non-negative\n"
 
 
 def test_missing_file_exit_code():

@@ -104,3 +104,27 @@ def test_product_criterion_matches_membership_on_quintic(fermat_quintic):
         direct = graded_membership(R, h) is not None
         via_products, _ = monomial_product_criterion(h, R)
         assert direct == via_products
+
+
+def test_fixed_divisor_gcd_runs_once_per_bundle(fermat_quartic, monkeypatch):
+    from adjtorelli import adjoint
+
+    gcd_calls = []
+    built = []
+    gcd_many, build_bundle = adjoint.gcd_many, adjoint.build_bundle
+
+    def counted_gcd(polys):
+        gcd_calls.append(1)
+        return gcd_many(polys)
+
+    def recorded_build(h, system):
+        bundle = build_bundle(h, system)
+        built.append(bundle)
+        return bundle
+
+    monkeypatch.setattr(adjoint, "gcd_many", counted_gcd)
+    monkeypatch.setattr(adjoint, "build_bundle", recorded_build)
+    report = check(fermat_quartic, x(0) * x(1) * x(2) * x(3), trials=3, seed=0)
+    assert len(report.trials) == 3
+    assert len(built) >= 3 and not any(b.degenerate for b in built)
+    assert len(gcd_calls) == len(built)
