@@ -7,14 +7,20 @@ Four subcommands over a shared problem-file format:
     adjoint   run the pipeline for one explicit W-system
     macaulay  socle dimension and duality pairings
 
-Exit codes: 0 success, 1 input error, 2 hypothesis violation, 3 internal
-inconsistency (an equivalence trial disagreed with ideal membership, which
-must never happen on valid inputs).
+One driver reads the field and the problem file, runs the command's handler
+on (F, R) and emits the report; a handler returns its input extras,
+verdicts, certificates and exit code.
+
+Exit codes, mapped from error classes by `_EXITS`: 0 success, 1 input error
+(syntax, bad flag, unreadable file), 2 hypothesis violation, 3 internal
+inconsistency (an equivalence trial disagreed with ideal membership, or a
+pipeline step that cannot fail on valid inputs did).
 
 JSON reports (--json) are emitted with sorted keys and no volatile content,
-so identical inputs produce byte-identical output; wall-clock timings are
-opt-in via --timings.  Certificates can be large and are included only
-under --certificates, which the three commands that produce them accept.
+so identical inputs produce byte-identical output; wall-clock timings
+(parse_s, check_s) are opt-in via --timings.  Certificates can be large and
+are included only under --certificates, which the three commands that
+produce them accept.
 """
 
 from __future__ import annotations
@@ -29,7 +35,10 @@ from typing import Optional
 from . import adjoint as adjoint_mod
 from . import jacobian as jacobian_mod
 from . import torelli as torelli_mod
-from .errors import HomogeneityError, HypothesisViolationError, NotSmoothError, ParseError
+from .errors import (DegenerateBundleError, FieldMismatchError, GradeError,
+                     HomogeneityError, HypothesisViolationError, NoDecompositionError,
+                     NonDivisibleError, NonEulerNullError, NotSmoothError, ParseError,
+                     RankOneConditionError, VariableCountMismatchError)
 from .fields import field_from_name
 from .parsing import load_problem
 
@@ -37,6 +46,16 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_INCONSISTENT = 3
+
+# First match wins; every error class of the package is a ValueError.
+_EXITS = (
+    ((HypothesisViolationError, NotSmoothError, HomogeneityError),
+     EXIT_HYPOTHESIS, "hypothesis violation"),
+    ((DegenerateBundleError, FieldMismatchError, GradeError, NoDecompositionError,
+      NonDivisibleError, NonEulerNullError, RankOneConditionError,
+      VariableCountMismatchError), EXIT_INCONSISTENT, "internal error"),
+    ((ValueError, OSError), EXIT_INPUT, "input error"),
+)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -84,13 +103,13 @@ def _parse_pairs(text: str, nvars: int):
     pairs = []
     for token in text.split(","):
         token = token.strip()
-        if "-" in token:
-            left, _, right = token.partition("-")
+        left, dash, right = token.partition("-")
+        if not dash and len(token) == 2:
+            left, right = token
+        try:
             i, j = int(left), int(right)
-        elif len(token) == 2 and token.isdigit():
-            i, j = int(token[0]), int(token[1])
-        else:
-            raise ParseError(f"cannot read one-form pair {token!r}")
+        except ValueError:
+            raise ParseError(f"--w: cannot read one-form pair {token!r}") from None
         if not 0 <= i < nvars or not 0 <= j < nvars or i == j:
             raise ParseError(f"pair ({i},{j}) out of range for {nvars} coordinates")
         pairs.append((i, j))
@@ -120,42 +139,27 @@ def _emit_human(report: dict, stream, prefix: str = "") -> None:
             stream.write(f"{prefix}{key.ljust(width)} : {value}\n")
 
 
-def _input_echo(args, problem, F, R) -> dict:
-    echo = {
-        "file": os.path.basename(args.file),
-        "n": problem.n,
-        "field": args.field,
-        "F": str(F),
-        "R": str(R) if R is not None else None,
-    }
-    return echo
-
-
-def _load(args):
-    field = field_from_name(args.field)
-    problem = load_problem(args.file)
-    F, R = problem.build(field)
-    return field, problem, F, R
-
-
 def _cert_parts(cert) -> Optional[list]:
-    if cert is None:
-        return None
-    return [str(p) for p in cert.parts]
+    return None if cert is None else [str(p) for p in cert.parts]
 
 
-def cmd_torelli(args, stream) -> int:
-    started = time.perf_counter()
-    field, problem, F, R = _load(args)
+def _trial_certificates(image_cert, adjoint_cert) -> dict:
+    """The certificates of one W-system trial, shared by torelli and adjoint."""
+    return {
+        "image_multipliers":
+            [str(p) for p in image_cert.multipliers] if image_cert else None,
+        "image_principal": str(image_cert.principal) if image_cert else None,
+        "adjoint_membership": _cert_parts(adjoint_cert),
+    }
+
+
+def cmd_torelli(args, F, R):
     if R is None:
         raise ParseError("torelli needs an R = <expr> line in the problem file")
-    parsed = time.perf_counter()
-    h = jacobian_mod.Hypersurface(F)
-    report = torelli_mod.check(h, R, trials=args.trials, seed=args.seed)
-    finished = time.perf_counter()
-    trials = []
-    for o in report.trials:
-        entry = {
+    report = torelli_mod.check(jacobian_mod.Hypersurface(F), R,
+                               trials=args.trials, seed=args.seed)
+    trials = [
+        {
             "trial": o.index,
             "provenance": o.provenance,
             "attempts": o.attempts,
@@ -164,168 +168,109 @@ def cmd_torelli(args, stream) -> int:
             "in_image": o.in_image,
             "in_jacobian_ideal": o.in_jacobian,
         }
-        trials.append(entry)
-    out = {
-        "command": "torelli",
-        "input": {**_input_echo(args, problem, F, R),
-                  "trials": args.trials, "seed": args.seed},
-        "verdicts": {
-            "r_in_jacobian_ideal": report.r_in_jacobian,
-            "verdict": report.verdict,
-            "consistency": report.consistency,
-            "reduced_representative": str(report.reduced_representative),
-            "trials": trials,
-        },
+        for o in report.trials
+    ]
+    verdicts = {
+        "r_in_jacobian_ideal": report.r_in_jacobian,
+        "verdict": report.verdict,
+        "consistency": report.consistency,
+        "reduced_representative": str(report.reduced_representative),
+        "trials": trials,
     }
-    if args.certificates:
-        out["certificates"] = {
-            "r_membership": _cert_parts(report.r_certificate),
-            "trials": [
-                {
-                    "trial": o.index,
-                    "image_multipliers":
-                        [str(p) for p in o.image_certificate.multipliers]
-                        if o.image_certificate else None,
-                    "image_principal":
-                        str(o.image_certificate.principal)
-                        if o.image_certificate else None,
-                    "adjoint_membership": _cert_parts(o.jacobian_certificate),
-                }
-                for o in report.trials
-            ],
-        }
-    if args.timings:
-        out["timings"] = {
-            "parse_s": round(parsed - started, 6),
-            "check_s": round(finished - parsed, 6),
-        }
-    _emit(out, args.json, stream)
-    return EXIT_OK if report.consistency else EXIT_INCONSISTENT
+    certificates = {
+        "r_membership": _cert_parts(report.r_certificate),
+        "trials": [
+            {"trial": o.index,
+             **_trial_certificates(o.image_certificate, o.jacobian_certificate)}
+            for o in report.trials
+        ],
+    }
+    code = EXIT_OK if report.consistency else EXIT_INCONSISTENT
+    return {"trials": args.trials, "seed": args.seed}, verdicts, certificates, code
 
 
-def cmd_jacobian(args, stream) -> int:
-    started = time.perf_counter()
-    field, problem, F, R = _load(args)
+def cmd_jacobian(args, F, R):
     h = jacobian_mod.Hypersurface(F)
     degree = args.degree if args.degree is not None else h.degree
     if degree < 0:
         raise ParseError("--degree must be non-negative")
     dim = jacobian_mod.jacobian_ring_dim(h, degree)
     expected = jacobian_mod.hilbert_expected(h.n, h.degree, degree)
-    membership = None
-    cert = None
-    if R is not None:
-        cert = jacobian_mod.graded_membership(R, h)
-        membership = cert is not None
-    finished = time.perf_counter()
-    out = {
-        "command": "jacobian",
-        "input": {**_input_echo(args, problem, F, R), "degree": degree},
-        "verdicts": {
-            "smooth": True,
-            "smooth_witness_dimension": h.smooth_witness,
-            "socle_degree": h.socle_degree,
-            "degree": degree,
-            "quotient_dimension": dim,
-            "expected_dimension": expected,
-            "r_in_jacobian_ideal": membership,
-        },
+    cert = jacobian_mod.graded_membership(R, h) if R is not None else None
+    verdicts = {
+        "smooth": True,
+        "smooth_witness_dimension": h.smooth_witness,
+        "socle_degree": h.socle_degree,
+        "degree": degree,
+        "quotient_dimension": dim,
+        "expected_dimension": expected,
+        "r_in_jacobian_ideal": cert is not None if R is not None else None,
     }
-    if args.certificates:
-        out["certificates"] = {"r_membership": _cert_parts(cert)}
-    if args.timings:
-        out["timings"] = {"total_s": round(finished - started, 6)}
-    _emit(out, args.json, stream)
-    return EXIT_OK
+    return {"degree": degree}, verdicts, {"r_membership": _cert_parts(cert)}, EXIT_OK
 
 
-def cmd_adjoint(args, stream) -> int:
-    started = time.perf_counter()
-    field, problem, F, R = _load(args)
+def cmd_adjoint(args, F, R):
     h = jacobian_mod.Hypersurface(F)
     pairs = _parse_pairs(args.w, h.nvars)
     if len(pairs) != h.n:
         raise ParseError(f"--w needs exactly {h.n} pairs, got {len(pairs)}")
     forms = [
-        adjoint_mod.directed_one_form(h.nvars, i, j, field) for i, j in pairs
+        adjoint_mod.directed_one_form(h.nvars, i, j, h.field) for i, j in pairs
     ]
     system = adjoint_mod.wsystem_from_forms(forms, provenance="explicit")
     bundle = adjoint_mod.build_bundle(h, system)
     witness = None if bundle.degenerate else adjoint_mod.fixed_divisor_witness(bundle)
-    subsystem_membership = []
-    sub_certs = []
-    for omega in bundle.subsystem:
-        cert = jacobian_mod.graded_membership(omega, h)
-        subsystem_membership.append(cert is not None)
-        sub_certs.append(cert)
+    sub_certs = [jacobian_mod.graded_membership(omega, h) for omega in bundle.subsystem]
     image_cert = adjoint_poly = adjoint_cert = None
     tested = R is not None and not bundle.degenerate
     if tested:
         image_cert = adjoint_mod.image_membership(bundle, R)
         adjoint_poly = adjoint_mod.canonical_adjoint(bundle, R)
         adjoint_cert = jacobian_mod.graded_membership(adjoint_poly, h)
-    finished = time.perf_counter()
-    out = {
-        "command": "adjoint",
-        "input": {**_input_echo(args, problem, F, R), "w": args.w},
-        "verdicts": {
-            "degenerate": bundle.degenerate,
-            "base_polynomial": str(bundle.top_poly),
-            "subsystem": [str(p) for p in bundle.subsystem],
-            "subsystem_in_jacobian_ideal": subsystem_membership,
-            "fixed_divisor": str(witness) if witness else None,
-            "canonical_adjoint": str(adjoint_poly) if adjoint_poly is not None else None,
-            "in_image": image_cert is not None if tested else None,
-            "in_jacobian_ideal": adjoint_cert is not None if tested else None,
-        },
+    verdicts = {
+        "degenerate": bundle.degenerate,
+        "base_polynomial": str(bundle.top_poly),
+        "subsystem": [str(p) for p in bundle.subsystem],
+        "subsystem_in_jacobian_ideal": [c is not None for c in sub_certs],
+        "fixed_divisor": str(witness) if witness else None,
+        "canonical_adjoint": str(adjoint_poly) if adjoint_poly is not None else None,
+        "in_image": image_cert is not None if tested else None,
+        "in_jacobian_ideal": adjoint_cert is not None if tested else None,
     }
-    if args.certificates:
-        out["certificates"] = {
-            "subsystem_membership": [_cert_parts(c) for c in sub_certs],
-            "image_multipliers":
-                [str(p) for p in image_cert.multipliers] if image_cert else None,
-            "image_principal": str(image_cert.principal) if image_cert else None,
-            "adjoint_membership": _cert_parts(adjoint_cert),
-        }
-    if args.timings:
-        out["timings"] = {"total_s": round(finished - started, 6)}
-    _emit(out, args.json, stream)
-    return EXIT_OK
+    certificates = {
+        "subsystem_membership": [_cert_parts(c) for c in sub_certs],
+        **_trial_certificates(image_cert, adjoint_cert),
+    }
+    return {"w": args.w}, verdicts, certificates, EXIT_OK
 
 
-def cmd_macaulay(args, stream) -> int:
-    started = time.perf_counter()
-    field, problem, F, R = _load(args)
+def cmd_macaulay(args, F, R):
     h = jacobian_mod.Hypersurface(F)
     sigma = h.socle_degree
     if args.a is None:
         degrees = list(range(sigma + 1))
     else:
-        degrees = [int(tok) for tok in args.a.split(",")]
+        degrees = []
+        for token in args.a.split(","):
+            try:
+                degrees.append(int(token))
+            except ValueError:
+                raise ParseError(f"--a: cannot read degree {token!r}") from None
     pairings = []
     for a in degrees:
         matrix = jacobian_mod.pairing_matrix(h, a)
-        perfect = jacobian_mod.pairing_is_perfect(matrix, field)
         pairings.append({
             "a": a,
             "left_dimension": matrix.rows,
             "right_dimension": matrix.cols,
-            "perfect": perfect,
+            "perfect": jacobian_mod.pairing_is_perfect(matrix, h.field),
         })
-    finished = time.perf_counter()
-    out = {
-        "command": "macaulay",
-        "input": _input_echo(args, problem, F, R),
-        "verdicts": {
-            "socle_degree": sigma,
-            "socle_dimension": jacobian_mod.jacobian_ring_dim(h, sigma),
-            "pairings": pairings,
-        },
+    verdicts = {
+        "socle_degree": sigma,
+        "socle_dimension": jacobian_mod.jacobian_ring_dim(h, sigma),
+        "pairings": pairings,
     }
-    if args.timings:
-        out["timings"] = {"total_s": round(finished - started, 6)}
-    _emit(out, args.json, stream)
-    return EXIT_OK
+    return {}, verdicts, None, EXIT_OK
 
 
 _HANDLERS = {
@@ -336,21 +281,45 @@ _HANDLERS = {
 }
 
 
+def _run(args, stream) -> int:
+    started = time.perf_counter()
+    field = field_from_name(args.field)
+    problem = load_problem(args.file)
+    F, R = problem.build(field)
+    parsed = time.perf_counter()
+    extras, verdicts, certificates, code = _HANDLERS[args.command](args, F, R)
+    finished = time.perf_counter()
+    report = {
+        "command": args.command,
+        "input": {"file": os.path.basename(args.file), "n": problem.n,
+                  "field": args.field, "F": str(F),
+                  "R": str(R) if R is not None else None, **extras},
+        "verdicts": verdicts,
+    }
+    if getattr(args, "certificates", False):
+        report["certificates"] = certificates
+    if args.timings:
+        report["timings"] = {
+            "parse_s": round(parsed - started, 6),
+            "check_s": round(finished - parsed, 6),
+        }
+    _emit(report, args.json, stream)
+    return code
+
+
 def main(argv=None, stream=None) -> int:
     stream = stream or sys.stdout
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return _HANDLERS[args.command](args, stream)
-    except (HypothesisViolationError, NotSmoothError, HomogeneityError) as exc:
-        sys.stderr.write(f"hypothesis violation: {exc}\n")
-        return EXIT_HYPOTHESIS
-    except (ValueError, FileNotFoundError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
+        return _run(args, stream)
+    except (ValueError, OSError) as exc:
+        code, label = next((code, label) for classes, code, label in _EXITS
+                           if isinstance(exc, classes))
+        sys.stderr.write(f"{label}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

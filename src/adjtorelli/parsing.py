@@ -10,7 +10,8 @@ Grammar for polynomial expressions (no implicit multiplication):
 
 Problem files are plain text 'key = value' lines with '#' comments:
 n (projective dimension), F (hypersurface equation), R (optional
-deformation polynomial).  Diagnostics carry line and column.
+deformation polynomial).  Diagnostics carry line and column, counted from
+the start of the line.  Parentheses nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .errors import ParseError
 from .fields import QQ
 from .polyring import Polynomial
 
+# Each level of parentheses costs four frames of the recursive descent, so
+# the bound stays well inside the interpreter's default recursion limit.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Token:
@@ -32,7 +37,8 @@ class Token:
     line: int = 1
 
 
-def _tokenize(text: str, line: int = 1) -> List[Token]:
+def _tokenize(text: str, line: int = 1, column: int = 1) -> List[Token]:
+    """Split ``text`` into tokens; ``column`` is the column of ``text[0]``."""
     tokens = []
     i = 0
     while i < len(text):
@@ -40,7 +46,7 @@ def _tokenize(text: str, line: int = 1) -> List[Token]:
         if ch.isspace():
             i += 1
             continue
-        col = i + 1
+        col = i + column
         if ch.isdigit():
             j = i
             while j < len(text) and text[j].isdigit():
@@ -66,7 +72,7 @@ def _tokenize(text: str, line: int = 1) -> List[Token]:
             i += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("END", "", len(text) + 1, line))
+    tokens.append(Token("END", "", len(text) + column, line))
     return tokens
 
 
@@ -74,6 +80,7 @@ class _Parser:
     def __init__(self, tokens: List[Token], nvars: int, field):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.nvars = nvars
         self.field = field
 
@@ -154,11 +161,16 @@ class _Parser:
                 )
             return Polynomial.variable(self.nvars, idx, self.field)
         if tok.kind == "LPAREN":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 tok.line, tok.column)
             self.advance()
+            self.depth += 1
             inner = self.expr()
             if self.peek().kind != "RPAREN":
                 self.fail("expected ')'")
             self.advance()
+            self.depth -= 1
             return inner
         if tok.kind == "OP" and tok.text == "/":
             self.fail("'/' is only allowed between integer literals")
@@ -166,9 +178,10 @@ class _Parser:
 
 
 def parse_polynomial(text: str, nvars: int, field=QQ, line: int = 1,
-                     require_homogeneous: bool = False) -> Polynomial:
-    """Parse an expression into a canonical polynomial."""
-    poly = _Parser(_tokenize(text, line), nvars, field).parse()
+                     require_homogeneous: bool = False, column: int = 1) -> Polynomial:
+    """Parse an expression into a canonical polynomial; ``line`` and
+    ``column`` locate ``text[0]`` in its source."""
+    poly = _Parser(_tokenize(text, line, column), nvars, field).parse()
     if require_homogeneous and not poly.is_homogeneous():
         raise ParseError("polynomial is not homogeneous", line, 1)
     return poly
@@ -184,20 +197,23 @@ class ProblemFile:
     r_text: Optional[str]
     f_line: int
     r_line: Optional[int]
+    f_column: int
+    r_column: Optional[int]
 
     def build(self, field=QQ) -> Tuple[Polynomial, Optional[Polynomial]]:
         F = parse_polynomial(self.f_text, self.nvars, field, line=self.f_line,
-                             require_homogeneous=True)
+                             require_homogeneous=True, column=self.f_column)
         R = None
         if self.r_text is not None:
             R = parse_polynomial(self.r_text, self.nvars, field, line=self.r_line,
-                                 require_homogeneous=True)
+                                 require_homogeneous=True, column=self.r_column)
         return F, R
 
 
 def parse_problem_text(text: str) -> ProblemFile:
     values = {}
     lines = {}
+    columns = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -213,6 +229,7 @@ def parse_problem_text(text: str) -> ProblemFile:
             raise ParseError(f"duplicate key {key!r}", lineno, 1)
         values[key] = value
         lines[key] = lineno
+        columns[key] = raw.index(value, raw.index("=") + 1) + 1
     if "n" not in values:
         raise ParseError("missing 'n = <int>' line")
     if "F" not in values:
@@ -230,6 +247,8 @@ def parse_problem_text(text: str) -> ProblemFile:
         r_text=values.get("R"),
         f_line=lines["F"],
         r_line=lines.get("R"),
+        f_column=columns["F"],
+        r_column=columns.get("R"),
     )
 
 

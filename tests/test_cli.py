@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import subprocess
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from adjtorelli import cli, errors, torelli
 from adjtorelli.cli import main
 from adjtorelli.errors import ParseError
 from adjtorelli.parsing import (
+    MAX_NESTING,
     parse_polynomial,
     parse_problem_text,
 )
@@ -62,6 +65,14 @@ def test_parse_error_carries_position():
     assert info.value.column == 6
 
 
+def test_parse_bounds_parenthesis_nesting():
+    nested = "(" * MAX_NESTING + "x0" + ")" * MAX_NESTING
+    assert parse_polynomial(nested, 2) == x(0, 2)
+    with pytest.raises(ParseError, match="nested deeper") as info:
+        parse_polynomial("(" * 3000 + "x0" + ")" * 3000, 2)
+    assert info.value.column == MAX_NESTING + 1
+
+
 def test_parse_rejects_division_by_variable():
     with pytest.raises(ParseError):
         parse_polynomial("x0/2", 2)
@@ -107,6 +118,10 @@ def test_problem_file_errors_name_the_line_of_f_and_r():
     with pytest.raises(ParseError) as info:
         parse_problem_text("n = 3\n\nF = x0^4 + x1^4 + x2^4 + x3^4\nR = x0 + ^\n").build()
     assert info.value.line == 4
+    # columns count from the start of the line, not of the value
+    with pytest.raises(ParseError) as info:
+        parse_problem_text("n = 3\nF = x0^4 + x1^4 + x2^4 + x3^4\nR = x0^4 + ^\n").build()
+    assert (info.value.line, info.value.column) == (3, 12)
 
 
 def test_problem_file_rejects_duplicates():
@@ -200,11 +215,64 @@ def test_input_error_exit_code(tmp_path, capsys):
     code, _ = run_cli("jacobian", str(DATA / "fermat4.prob"), "--degree", "-1")
     assert code == 1
     assert capsys.readouterr().err == "input error: --degree must be non-negative\n"
+    # a non-numeric flag value names the flag and the token
+    code, _ = run_cli("adjoint", str(DATA / "fermat4.prob"), "--w", "a-1,02,03")
+    assert code == 1
+    assert capsys.readouterr().err == "input error: --w: cannot read one-form pair 'a-1'\n"
+    code, _ = run_cli("macaulay", str(DATA / "fermat4.prob"), "--a", "x")
+    assert code == 1
+    assert capsys.readouterr().err == "input error: --a: cannot read degree 'x'\n"
 
 
-def test_missing_file_exit_code():
+def test_missing_file_exit_code(tmp_path, capsys):
     code, _ = run_cli("jacobian", "no-such-file.prob")
     assert code == 1
+    capsys.readouterr()
+    code, _ = run_cli("jacobian", str(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error: [Errno")
+
+
+# every error class of the package, pinned to the exit code main returns
+EXIT_CODES = {
+    errors.ParseError: 1,
+    errors.FieldConstraintError: 1,
+    errors.DependentSystemError: 1,
+    errors.HypothesisViolationError: 2,
+    errors.NotSmoothError: 2,
+    errors.HomogeneityError: 2,
+    errors.DegenerateBundleError: 3,
+    errors.FieldMismatchError: 3,
+    errors.GradeError: 3,
+    errors.NoDecompositionError: 3,
+    errors.NonDivisibleError: 3,
+    errors.NonEulerNullError: 3,
+    errors.RankOneConditionError: 3,
+    errors.VariableCountMismatchError: 3,
+}
+
+
+def test_every_error_class_has_one_exit_code(monkeypatch, capsys):
+    defined = {cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if cls.__module__ == errors.__name__}
+    assert set(EXIT_CODES) == defined
+    labels = {1: "input error", 2: "hypothesis violation", 3: "internal error"}
+    for cls, expected in [*EXIT_CODES.items(), (ValueError, 1), (OSError, 1)]:
+        def fail(path, cls=cls):
+            raise cls("boom")
+        monkeypatch.setattr(cli, "load_problem", fail)
+        code, _ = run_cli("jacobian", str(DATA / "fermat4.prob"))
+        assert code == expected, cls
+        assert capsys.readouterr().err == f"{labels[expected]}: boom\n", cls
+
+
+def test_internal_fault_mid_pipeline_exit_code(monkeypatch, capsys):
+    def degenerate(bundle, R):
+        raise errors.DegenerateBundleError("base polynomial is 0")
+    monkeypatch.setattr(torelli, "image_membership", degenerate)
+    code, text = run_cli("torelli", str(DATA / "fermat4.prob"), "--trials", "1")
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == "internal error: base polynomial is 0\n"
 
 
 def test_hypothesis_violation_exit_code(tmp_path):
@@ -284,8 +352,10 @@ def test_prime_field_flag_runs():
 
 
 def test_timings_flag_adds_section():
-    code, text = run_cli(
-        "jacobian", str(DATA / "fermat4.prob"), "--json", "--timings",
-    )
-    assert code == 0
-    assert "timings" in json.loads(text)
+    for command, *flags in (["torelli", "--trials", "1"], ["jacobian"],
+                            ["adjoint", "--w", "01,02,03"], ["macaulay", "--a", "0"]):
+        code, text = run_cli(
+            command, str(DATA / "fermat4.prob"), *flags, "--json", "--timings",
+        )
+        assert code == 0
+        assert set(json.loads(text)["timings"]) == {"parse_s", "check_s"}, command
