@@ -7,19 +7,18 @@ from .adjoint import (
     WSystem,
     build_bundle,
     canonical_adjoint,
-    directed_one_form,
     epsilon_sign,
     eta_basis_pairs,
     fixed_divisor_witness,
     image_membership,
     monomial_to_adjoint,
+    pair_row,
     sample_bundle,
     sample_wsystem,
     subsystem_sign_check,
     wsystem_from_coords,
-    wsystem_from_forms,
 )
-from .exactla import Echelon, Matrix, SpanCertificate, kernel_basis, rref, solve_in_span
+from .exactla import Echelon, Matrix, SpanCertificate, rref, solve_in_span
 from .extforms import (
     ExtForm,
     ReliftReport,

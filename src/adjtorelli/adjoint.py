@@ -16,9 +16,9 @@ we compute:
 
 The subsystem polynomials always land in the Jacobian ideal, and the wedge
 of the i-th partial wedge with dF reproduces epsilon * omega_i times the
-fundamental form modulo F for one global sign epsilon depending only on n;
-epsilon_sign determines that sign by brute force and the cross-check is
-exposed for tests.
+fundamental form modulo F for one global sign epsilon = (-1)^(n+1);
+epsilon_sign returns that closed form and subsystem_sign_check, the
+cross-check, is exposed for tests.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import (
     DegenerateBundleError,
@@ -34,7 +34,6 @@ from .errors import (
     FieldMismatchError,
     HomogeneityError,
     HypothesisViolationError,
-    NonEulerNullError,
     VariableCountMismatchError,
 )
 from .exactla import Matrix, rref, solve_in_span
@@ -44,7 +43,6 @@ from .extforms import (
     divide_by_fundamental,
     fundamental_form,
     syzygy_decompose,
-    syzygy_form,
     wedge,
     wedge_all,
 )
@@ -85,74 +83,37 @@ class WSystem:
         return self.forms[0].field
 
 
-def _form_from_coords(nvars: int, row, field) -> ExtForm:
-    """The one-form with coordinates row (field elements) over basis_one_form."""
-    form = ExtForm.zero(nvars, 1, field)
-    for c, (i, j) in zip(row, eta_basis_pairs(nvars)):
-        if c:
-            form = form + basis_one_form(nvars, i, j, field).scale(c)
-    return form
-
-
-def eta_coordinates(form: ExtForm) -> Tuple:
-    """Coordinates of a grade-1 form over the basis_one_form basis.
-
-    Raises NonEulerNullError when the form is not an exact combination of
-    basis one-forms (equivalently, not Euler-null with linear coefficients).
-    """
-    nvars = form.nvars
-    coords = tuple(
-        form.coefficient((j,)).coefficient(tuple(int(t == i) for t in range(nvars)))
-        for (i, j) in eta_basis_pairs(nvars)
-    )
-    if _form_from_coords(nvars, coords, form.field) != form:
-        raise NonEulerNullError(
-            "form is not a combination of the Euler-null one-form basis"
-        )
-    return coords
-
-
-def _check_count(nvars: int, count: int):
-    if count != nvars - 1:
-        raise DependentSystemError(f"need exactly {nvars - 1} one-forms, got {count}")
-
-
-def _independent_system(forms, coords, field, provenance: str) -> WSystem:
-    """The W-system, once the coordinate rows are known to be independent."""
-    _, _, matrix_rank = rref(Matrix.from_rows([list(row) for row in coords]), field)
-    if matrix_rank != len(coords):
-        raise DependentSystemError("one-forms are linearly dependent")
-    return WSystem(tuple(forms), tuple(coords), provenance)
-
-
-def wsystem_from_forms(forms: Sequence[ExtForm], provenance: str = "explicit") -> WSystem:
-    forms = tuple(forms)
-    if not forms:
-        raise ValueError("empty system")
-    nvars = forms[0].nvars
-    field = forms[0].field
-    _check_count(nvars, len(forms))
-    for f in forms:
-        if f.nvars != nvars or f.field != field:
-            raise VariableCountMismatchError("mixed coordinate spaces in one system")
-        if f.grade != 1:
-            raise ValueError("system entries must be one-forms")
-    coords = [eta_coordinates(f) for f in forms]
-    return _independent_system(forms, coords, field, provenance)
+def pair_row(nvars: int, a: int, b: int) -> Tuple[int, ...]:
+    """Coordinates of x_a dx_b - x_b dx_a: +-1 at the pair's index over
+    eta_basis_pairs, negative when a > b."""
+    pair, sign = ((a, b), 1) if a < b else ((b, a), -1)
+    return tuple(sign if p == pair else 0 for p in eta_basis_pairs(nvars))
 
 
 def wsystem_from_coords(nvars: int, rows, field=QQ, provenance: str = "explicit") -> WSystem:
-    width = len(eta_basis_pairs(nvars))
+    """The W-system whose forms have the given coordinate rows over
+    eta_basis_pairs; the rows must be n independent vectors."""
+    pairs = eta_basis_pairs(nvars)
     coords = []
     for row in rows:
-        if len(row) != width:
-            raise ValueError(f"expected {width} coordinates per form")
+        if len(row) != len(pairs):
+            raise ValueError(f"expected {len(pairs)} coordinates per form")
         coords.append(tuple(field.coerce(c) for c in row))
     if not coords:
         raise ValueError("empty system")
-    _check_count(nvars, len(coords))
-    forms = [_form_from_coords(nvars, row, field) for row in coords]
-    return _independent_system(forms, coords, field, provenance)
+    if len(coords) != nvars - 1:
+        raise DependentSystemError(f"need exactly {nvars - 1} one-forms, got {len(coords)}")
+    _, _, matrix_rank = rref(Matrix.from_rows(coords), field)
+    if matrix_rank != len(coords):
+        raise DependentSystemError("one-forms are linearly dependent")
+    forms = []
+    for row in coords:
+        form = ExtForm.zero(nvars, 1, field)
+        for c, (i, j) in zip(row, pairs):
+            if c:
+                form = form + basis_one_form(nvars, i, j, field).scale(c)
+        forms.append(form)
+    return WSystem(tuple(forms), tuple(coords), provenance)
 
 
 def sample_wsystem(nvars: int, rng: random.Random, field=QQ,
@@ -298,13 +259,6 @@ def image_membership(bundle: AdjointBundle, R: Polynomial) -> Optional[ImageCert
     return ImageCertificate(tuple(multipliers), principal)
 
 
-def directed_one_form(nvars: int, a: int, b: int, field=QQ) -> ExtForm:
-    """x_a dx_b - x_b dx_a, either index order."""
-    if a < b:
-        return basis_one_form(nvars, a, b, field)
-    return -basis_one_form(nvars, b, a, field)
-
-
 def monomial_to_adjoint(nvars: int, mono: Monomial, field=QQ) -> WSystem:
     """One-forms whose top wedge extracts the given degree n-1 monomial.
 
@@ -336,9 +290,8 @@ def monomial_to_adjoint(nvars: int, mono: Monomial, field=QQ) -> WSystem:
         return pairs
 
     counts = {i: e for i, e in enumerate(mono)}
-    pairs = rec(tuple(range(nvars)), counts)
-    forms = [directed_one_form(nvars, a, b, field) for a, b in pairs]
-    return wsystem_from_forms(forms, provenance="explicit")
+    rows = [pair_row(nvars, a, b) for a, b in rec(tuple(range(nvars)), counts)]
+    return wsystem_from_coords(nvars, rows, field)
 
 
 def fixed_divisor_witness(bundle: AdjointBundle) -> Optional[Polynomial]:
@@ -366,27 +319,8 @@ def gradient_form(h: Hypersurface) -> ExtForm:
 
 def epsilon_sign(h: Hypersurface) -> int:
     """The global sign with syzygy_form(j) ^ dF == sign * F_j * fundamental
-    modulo F, determined by brute force over every j and cached."""
-    if h._epsilon is not None:
-        return h._epsilon
-    psi = fundamental_form(h.nvars, h.field)
-    df = gradient_form(h)
-    for sign in (1, -1):
-        consistent = True
-        for j in range(h.nvars):
-            lhs = wedge(syzygy_form(h.nvars, j, h.field), df)
-            rhs = psi.poly_mul(h.partials[j]).scale(sign)
-            delta = lhs - rhs
-            for poly in delta.terms.values():
-                if not reduce_mod(h, poly).is_zero():
-                    consistent = False
-                    break
-            if not consistent:
-                break
-        if consistent:
-            h._epsilon = sign
-            return sign
-    raise RuntimeError("no single sign matches the syzygy pairing; internal bug")
+    modulo F for every j: the closed form (-1)^nvars."""
+    return (-1) ** h.nvars
 
 
 def subsystem_sign_check(bundle: AdjointBundle) -> bool:

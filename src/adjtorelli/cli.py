@@ -214,10 +214,8 @@ def cmd_adjoint(args, F, R):
     pairs = _parse_pairs(args.w, h.nvars)
     if len(pairs) != h.n:
         raise ParseError(f"--w needs exactly {h.n} pairs, got {len(pairs)}")
-    forms = [
-        adjoint_mod.directed_one_form(h.nvars, i, j, h.field) for i, j in pairs
-    ]
-    system = adjoint_mod.wsystem_from_forms(forms, provenance="explicit")
+    rows = [adjoint_mod.pair_row(h.nvars, i, j) for i, j in pairs]
+    system = adjoint_mod.wsystem_from_coords(h.nvars, rows, h.field)
     bundle = adjoint_mod.build_bundle(h, system)
     witness = None if bundle.degenerate else adjoint_mod.fixed_divisor_witness(bundle)
     sub_certs = [jacobian_mod.graded_membership(omega, h) for omega in bundle.subsystem]

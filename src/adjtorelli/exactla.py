@@ -1,16 +1,15 @@
-"""Exact dense linear algebra plus an incremental row-echelon accumulator.
+"""Exact linear algebra built on one incremental row-echelon accumulator.
 
-The public operations (rref, kernel_basis, solve_in_span) follow plain
-Gauss-Jordan elimination over the coefficient field with a deterministic
-pivot rule: columns are processed left to right and the first row with a
-nonzero entry wins.  Reduced row echelon form is unique, so any evaluation
-order that lands on it gives bit-identical results.
+Echelon is the only elimination loop: generators are inserted one at a time
+as sparse {column: value} rows, the reduced basis is maintained
+incrementally, and optional combination tracking records every row as an
+exact linear combination of the inserted generators, which is what turns a
+membership decision into a re-verifiable certificate.  Each stored row's
+pivot is its smallest column.  Reduced row echelon form is unique, so any
+insertion order that lands on it gives bit-identical results.
 
-Echelon is the workhorse behind graded ideal computations: generators are
-inserted one at a time as sparse {column: value} rows, the reduced basis is
-maintained incrementally, and optional combination tracking records every
-row as an exact linear combination of the inserted generators, which is what
-turns a membership decision into a re-verifiable certificate.
+rref reads a dense matrix's reduced form, pivots and rank off an untracked
+Echelon; solve_in_span writes a target over generators with a tracked one.
 """
 
 from __future__ import annotations
@@ -70,14 +69,8 @@ class Matrix:
             [field.one if i == j else field.zero for i in range(n) for j in range(n)],
         )
 
-    def at(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> Tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> List[List]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -96,56 +89,24 @@ class Matrix:
 
 
 def rref(m: Matrix, field=QQ) -> Tuple[Matrix, Tuple[int, ...], int]:
-    """Reduced row echelon form, pivot columns, and rank."""
-    rows = [
-        [field.coerce(v) if isinstance(v, int) else v for v in row]
-        for row in m.to_rows()
-    ]
-    pivots = []
-    pivot_row = 0
-    for col in range(m.cols):
-        if pivot_row >= m.rows:
-            break
-        src = None
-        for r in range(pivot_row, m.rows):
-            if rows[r][col]:
-                src = r
-                break
-        if src is None:
-            continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        if lead != field.one:
-            inv = field.one / lead
-            rows[pivot_row] = [v * inv for v in rows[pivot_row]]
-        for r in range(m.rows):
-            if r == pivot_row:
-                continue
-            factor = rows[r][col]
-            if not factor:
-                continue
-            rows[r] = [
-                v - factor * w for v, w in zip(rows[r], rows[pivot_row])
-            ]
-        pivots.append(col)
-        pivot_row += 1
-    flat = [v for row in rows for v in row]
-    return Matrix(m.rows, m.cols, flat), tuple(pivots), len(pivots)
+    """Reduced row echelon form, pivot columns, and rank.
 
-
-def kernel_basis(m: Matrix, field=QQ) -> List[Tuple]:
-    """Exact basis of the right kernel; empty iff full column rank."""
-    reduced, pivots, _ = rref(m, field)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for free in free_cols:
-        vec = [field.zero] * m.cols
-        vec[free] = field.one
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -reduced.at(r, free)
-        basis.append(tuple(vec))
-    return basis
+    The rows go into an untracked Echelon; its stored rows, read in pivot
+    order and padded with zero rows, are the reduced row echelon form.
+    """
+    ech = Echelon(field)
+    for i in range(m.rows):
+        ech.insert({
+            j: field.coerce(v) if isinstance(v, int) else v
+            for j, v in enumerate(m.row(i)) if v
+        })
+    pivots = ech.pivot_columns()
+    flat = []
+    for col in pivots:
+        row = ech.rows[ech.pivot_rows[col]]
+        flat.extend(row.get(j, field.zero) for j in range(m.cols))
+    flat.extend([field.zero] * ((m.rows - len(pivots)) * m.cols))
+    return Matrix(m.rows, m.cols, flat), pivots, len(pivots)
 
 
 class Echelon:
@@ -252,8 +213,7 @@ class Echelon:
         else:
             new_combo = {}
         # keep existing rows reduced against the new pivot column
-        holders = [r for r in self.col_rows.get(pivot, ()) if r < len(self.rows)]
-        for ridx in sorted(holders):
+        for ridx in sorted(self.col_rows.get(pivot, ())):
             factor = self.rows[ridx].get(pivot)
             if factor:
                 self._row_update(ridx, factor, row, new_combo)

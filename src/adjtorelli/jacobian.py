@@ -157,7 +157,6 @@ class Hypersurface:
             )
         self._ideal: Dict[int, GradedPiece] = {}
         self._principal: Dict[int, GradedPiece] = {}
-        self._epsilon = None
 
     def __repr__(self):
         return f"Hypersurface(n={self.n}, d={self.degree}, F={self.poly})"

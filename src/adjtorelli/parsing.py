@@ -183,7 +183,7 @@ def parse_polynomial(text: str, nvars: int, field=QQ, line: int = 1,
     ``column`` locate ``text[0]`` in its source."""
     poly = _Parser(_tokenize(text, line, column), nvars, field).parse()
     if require_homogeneous and not poly.is_homogeneous():
-        raise ParseError("polynomial is not homogeneous", line, 1)
+        raise ParseError("polynomial is not homogeneous", line, column)
     return poly
 
 

@@ -209,7 +209,7 @@ def test_criterion_7_sign_cross_check(fermat_quartic, fermat_quintic, bundles_50
     assert epsilon_sign(fermat_quintic) == -1
     for bundle in bundles_50:
         assert subsystem_sign_check(bundle)
-    announce(7, "signs fixed by brute force (n=3: +1, n=4: -1); wedge "
+    announce(7, "signs from the closed form (-1)^(n+1) (n=3: +1, n=4: -1); wedge "
                 "cross-check exact on all 50 bundles")
 
 

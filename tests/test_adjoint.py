@@ -8,22 +8,20 @@ from adjtorelli.adjoint import (
     canonical_adjoint,
     epsilon_sign,
     eta_basis_pairs,
-    eta_coordinates,
     fixed_divisor_witness,
     image_membership,
     monomial_to_adjoint,
+    pair_row,
     sample_bundle,
     subsystem_sign_check,
     trial_rng,
     wsystem_from_coords,
-    wsystem_from_forms,
 )
 from adjtorelli.errors import (
     DegenerateBundleError,
     DependentSystemError,
     HomogeneityError,
     HypothesisViolationError,
-    NonEulerNullError,
 )
 from adjtorelli.extforms import (
     ExtForm,
@@ -39,9 +37,7 @@ from conftest import fermat, x
 
 
 def eta_system(*pairs, nvars=4):
-    return wsystem_from_forms(
-        [basis_one_form(nvars, i, j) for i, j in pairs]
-    )
+    return wsystem_from_coords(nvars, [pair_row(nvars, i, j) for i, j in pairs])
 
 
 # ----- W-systems -----------------------------------------------------------
@@ -52,10 +48,14 @@ def test_eta_coordinates_roundtrip():
     assert [tuple(int(c) for c in row) for row in system.coords] == coords
 
 
-def test_eta_coordinates_reject_non_euler_null():
-    form = ExtForm(4, 1, {(0,): Polynomial.variable(4, 1)})
-    with pytest.raises(NonEulerNullError):
-        eta_coordinates(form)
+def test_pair_row_is_the_directed_one_form():
+    # x_a dx_b - x_b dx_a: the basis form for a < b, its negative for a > b
+    pairs = eta_basis_pairs(4)
+    for a, b in pairs:
+        assert pair_row(4, a, b) == tuple(int(p == (a, b)) for p in pairs)
+        assert pair_row(4, b, a) == tuple(-int(p == (a, b)) for p in pairs)
+    system = eta_system((1, 0), (2, 0), (3, 0))
+    assert system.forms == tuple(-basis_one_form(4, 0, j) for j in (1, 2, 3))
 
 
 def test_coords_and_forms_build_the_same_system():
@@ -67,10 +67,9 @@ def test_coords_and_forms_build_the_same_system():
             for c, (i, j) in zip(row, eta_basis_pairs(4)):
                 form = form + basis_one_form(4, i, j, field).scale(c)
             forms.append(form)
-        from_coords = wsystem_from_coords(4, rows, field)
-        from_forms = wsystem_from_forms(forms)
-        assert from_coords.forms == from_forms.forms == tuple(forms)
-        assert from_coords.coords == from_forms.coords
+        system = wsystem_from_coords(4, rows, field)
+        assert system.forms == tuple(forms)
+        assert system.coords == tuple(tuple(field.coerce(c) for c in row) for row in rows)
 
 
 def test_dependent_system_rejected():
@@ -88,10 +87,9 @@ def test_wrong_count_rejected():
         wsystem_from_coords(4, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
     with pytest.raises(ValueError, match="coordinates per form"):
         wsystem_from_coords(4, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    for build in (lambda: wsystem_from_forms([]), lambda: wsystem_from_coords(4, [])):
-        with pytest.raises(ValueError, match="empty system") as info:
-            build()
-        assert type(info.value) is ValueError
+    with pytest.raises(ValueError, match="empty system") as info:
+        wsystem_from_coords(4, [])
+    assert type(info.value) is ValueError
 
 
 # ----- bundle construction ----------------------------------------------------

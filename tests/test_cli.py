@@ -114,7 +114,7 @@ def test_problem_file_errors_name_the_line_of_f_and_r():
     with pytest.raises(ParseError) as info:
         parse_problem_text("n = 3\nF = x0^4 + x1\n").build()
     assert info.value.line == 2
-    assert "(line 2, column 1)" in str(info.value)
+    assert "(line 2, column 5)" in str(info.value)  # where the value starts
     with pytest.raises(ParseError) as info:
         parse_problem_text("n = 3\n\nF = x0^4 + x1^4 + x2^4 + x3^4\nR = x0 + ^\n").build()
     assert info.value.line == 4
@@ -179,6 +179,15 @@ def test_adjoint_command_pipeline():
     report = json.loads(text)
     assert report["verdicts"]["base_polynomial"] == "x0^2"
     assert report["verdicts"]["subsystem_in_jacobian_ideal"] == [True, True, True]
+    # reversed pairs negate every form: the base polynomial flips sign and
+    # the subsystem, a wedge of two of the three forms, stays the same
+    for w in ("10,20,30", "1-0,2-0,3-0"):
+        code, text = run_cli("adjoint", str(DATA / "fermat4.prob"), "--w", w, "--json")
+        assert code == 0
+        reversed_report = json.loads(text)
+        assert reversed_report["verdicts"]["base_polynomial"] == "-x0^2"
+        assert (reversed_report["verdicts"]["subsystem"]
+                == report["verdicts"]["subsystem"])
 
 
 def test_macaulay_command(tmp_path):
