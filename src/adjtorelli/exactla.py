@@ -9,7 +9,9 @@ pivot is its smallest column.  Reduced row echelon form is unique, so any
 insertion order that lands on it gives bit-identical results.
 
 rref reads a dense matrix's reduced form, pivots and rank off an untracked
-Echelon; solve_in_span writes a target over generators with a tracked one.
+Echelon; solve_in_span writes a target over generators with a tracked one;
+polyring's gcd reads its relation u * a == v * b off a tracked one whose
+columns are monomials (any ordered, hashable column keys work).
 """
 
 from __future__ import annotations

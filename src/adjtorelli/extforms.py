@@ -9,16 +9,18 @@ in the degree bookkeeping.  Under this convention the global twisted forms
 are exactly the forms annihilated by contraction with the Euler vector field
 E = sum_i x_i d/dx_i.
 
-Three families of named forms drive everything downstream:
+Three families of named forms drive everything downstream, each the Euler
+contraction iota_E of one constant basis form:
 
 * fundamental_form(n+1) is sum_i (-1)^i x_i dx_0^...^dx_i-hat^...^dx_n,
   the Euler contraction of the coordinate volume form.  Every Euler-null
   top form is a polynomial multiple of it.
-* syzygy_form(n+1, j) is the grade n-1 companion satisfying the relation
-  sum_j x_j * syzygy_form(j) = 0; wedging it with dF reproduces the j-th
-  partial derivative of F up to one global sign and multiples of F.
-* basis_one_form(n+1, i, j) is x_i dx_j - x_j dx_i, the standard basis of
-  Euler-null one-forms with linear coefficients.
+* syzygy_form(n+1, j) is (-1)^(j+1) iota_E(dx_0^...^dx_j-hat^...^dx_n), the
+  grade n-1 companion satisfying sum_j x_j * syzygy_form(j) = 0; wedging it
+  with dF reproduces the j-th partial derivative of F up to one global sign
+  and multiples of F.
+* basis_one_form(n+1, i, j) is x_i dx_j - x_j dx_i = iota_E(dx_i^dx_j), the
+  standard basis of Euler-null one-forms with linear coefficients.
 """
 
 from __future__ import annotations
@@ -254,47 +256,34 @@ def euler_contract(a: ExtForm) -> ExtForm:
     return ExtForm(a.nvars, a.grade - 1, result, a.field)
 
 
+def _contracted_unit(idxs: Tuple[int, ...], nvars: int, field) -> ExtForm:
+    """iota_E(dx_idxs): the Euler contraction of one constant basis form."""
+    unit = Polynomial.constant(nvars, 1, field)
+    return euler_contract(ExtForm(nvars, len(idxs), {idxs: unit}, field))
+
+
 def fundamental_form(nvars: int, field=QQ) -> ExtForm:
     """sum_i (-1)^i x_i dx_0^...^dx_i-hat^...^dx_n (grade n, coefficient degree 1)."""
-    everything = tuple(range(nvars))
-    terms = {}
-    for i in range(nvars):
-        idxs = everything[:i] + everything[i + 1:]
-        coeff = Polynomial.variable(nvars, i, field)
-        terms[idxs] = coeff if i % 2 == 0 else -coeff
-    return ExtForm(nvars, nvars - 1, terms, field)
+    return _contracted_unit(tuple(range(nvars)), nvars, field)
 
 
 def syzygy_form(nvars: int, j: int, field=QQ) -> ExtForm:
-    """Grade n-1 Euler-null form omitting dx_j; satisfies sum_j x_j * (this) = 0."""
+    """Grade n-1 Euler-null form omitting dx_j; satisfies sum_j x_j * (this) = 0.
+
+    It is (-1)^(j+1) iota_E(dx_0^...^dx_j-hat^...^dx_n).
+    """
     if not 0 <= j < nvars:
         raise IndexError(f"index {j} out of range for {nvars} coordinates")
-    everything = tuple(range(nvars))
-    terms = {}
-    for k in range(nvars):
-        if k == j:
-            continue
-        idxs = tuple(t for t in everything if t not in (j, k))
-        sign = 1 if (k + j) % 2 == 0 else -1
-        if k < j:
-            sign = -sign
-        coeff = Polynomial.variable(nvars, k, field)
-        terms[idxs] = coeff if sign > 0 else -coeff
-    return ExtForm(nvars, nvars - 2, terms, field)
+    form = _contracted_unit(tuple(k for k in range(nvars) if k != j), nvars, field)
+    return form if j % 2 else -form
 
 
 def basis_one_form(nvars: int, i: int, j: int, field=QQ) -> ExtForm:
-    """x_i dx_j - x_j dx_i for i < j; Euler-null with linear coefficients."""
+    """x_i dx_j - x_j dx_i = iota_E(dx_i ^ dx_j) for i < j; Euler-null with
+    linear coefficients."""
     if not 0 <= i < j < nvars:
         raise IndexError(f"need 0 <= i < j < {nvars}, got ({i}, {j})")
-    return ExtForm(
-        nvars, 1,
-        {
-            (j,): Polynomial.variable(nvars, i, field),
-            (i,): -Polynomial.variable(nvars, j, field),
-        },
-        field,
-    )
+    return _contracted_unit((i, j), nvars, field)
 
 
 def divide_by_fundamental(w: ExtForm) -> Polynomial:
@@ -407,13 +396,10 @@ def _vector_wedge(vectors: Sequence[Sequence[Polynomial]], nvars: int, field):
         new: Dict[Tuple[int, ...], Polynomial] = {}
         for idxs, coeff in acc.items():
             for b, poly in enumerate(vector):
-                if poly.is_zero() or b in idxs:
+                key, sign = _merge_indices(idxs, (b,))
+                if poly.is_zero() or key is None:
                     continue
-                inversions = sum(1 for x in idxs if x > b)
-                contrib = coeff * poly
-                if inversions % 2:
-                    contrib = -contrib
-                key = tuple(sorted(idxs + (b,)))
+                contrib = coeff * poly if sign > 0 else -(coeff * poly)
                 acc2 = new.get(key)
                 acc2 = contrib if acc2 is None else acc2 + contrib
                 if acc2.is_zero():

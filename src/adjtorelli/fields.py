@@ -210,6 +210,6 @@ def field_from_name(name: str):
     """Parse a field descriptor: 'q' for the rationals, 'p:<prime>' for GF(p)."""
     if name == "q":
         return QQ
-    if name.startswith("p:"):
+    if name.startswith("p:") and name[2:].isdecimal():
         return PrimeField(int(name[2:]))
     raise ValueError(f"unknown field descriptor {name!r}")

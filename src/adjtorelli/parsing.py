@@ -11,7 +11,9 @@ Grammar for polynomial expressions (no implicit multiplication):
 Problem files are plain text 'key = value' lines with '#' comments:
 n (projective dimension), F (hypersurface equation), R (optional
 deformation polynomial).  Diagnostics carry line and column, counted from
-the start of the line.  Parentheses nest at most MAX_NESTING deep.
+the start of the line.  Parentheses nest at most MAX_NESTING deep, n + 1
+may not exceed polyring.MAX_PIECE_DIM, and a power past one of the size
+budgets of Polynomial.__pow__ is a located parse error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import List, Optional, Tuple
 
 from .errors import ParseError
 from .fields import QQ
-from .polyring import Polynomial
+from .polyring import MAX_PIECE_DIM, Polynomial
 
 # Each level of parentheses costs four frames of the recursive descent, so
 # the bound stays well inside the interpreter's default recursion limit.
@@ -129,7 +131,10 @@ class _Parser:
             if tok.kind != "NUM":
                 self.fail("exponent must be a non-negative integer")
             self.advance()
-            base = base ** int(tok.text)
+            try:
+                base = base ** int(tok.text)
+            except ValueError as exc:  # past a size budget, or too many digits
+                raise ParseError(str(exc), tok.line, tok.column) from None
         return base if sign > 0 else -base
 
     def atom(self) -> Polynomial:
@@ -240,6 +245,10 @@ def parse_problem_text(text: str) -> ProblemFile:
         raise ParseError("n must be an integer", lines["n"], 1) from None
     if n < 1:
         raise ParseError("n must be at least 1", lines["n"], 1)
+    if n + 1 > MAX_PIECE_DIM:
+        raise ParseError(f"n + 1 = {n + 1} coordinates exceed the budget of "
+                         f"{MAX_PIECE_DIM} monomials per graded piece",
+                         lines["n"], columns["n"])
     return ProblemFile(
         n=n,
         nvars=n + 1,

@@ -5,6 +5,10 @@ polynomial maps monomials to nonzero field elements; the zero polynomial has
 an empty term map, so equal polynomials always have identical term maps.
 The canonical term order is graded lexicographic with x0 > x1 > ... > xN.
 
+The gcd of homogeneous polynomials solves one linear relation on the
+package's one elimination primitive, exactla.Echelon.  Graded pieces and
+powers stay inside the size budgets MAX_PIECE_DIM and MAX_COEFF_BITS.
+
 Everything here is immutable after construction and all operations return
 fresh values, so polynomials can be shared freely between threads.
 """
@@ -20,9 +24,20 @@ from .errors import (
     HomogeneityError,
     VariableCountMismatchError,
 )
+from .exactla import Echelon
 from .fields import QQ
 
 Monomial = Tuple[int, ...]
+
+# Largest graded piece S_k the package enumerates.  The benchmark's biggest
+# piece (the smoothness check of a quintic threefold) has 4845 monomials and
+# a quintic fourfold's has 42504; far past that, enumeration alone exhausts
+# memory or time before any answer.
+MAX_PIECE_DIM = 100_000
+# Reports print coefficients in decimal, and the interpreter converts at most
+# 4300 digits (about 14000 bits) of an integer to text: a power of a rational
+# number past that could never be printed, and one far past it exhausts memory.
+MAX_COEFF_BITS = 14_000
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -44,17 +59,34 @@ def grlex_key(mono: Monomial):
     return (sum(mono), mono)
 
 
+def check_piece_dim(nvars: int, k: int) -> None:
+    """Raise ValueError when dim S_k = C(nvars-1+k, k) exceeds MAX_PIECE_DIM.
+
+    C(nvars-1+k, i) grows with i up to min(k, nvars-1), so building it factor
+    by factor and stopping once it passes the budget is cheap for any input.
+    """
+    top = nvars - 1 + k
+    dim = 1
+    for i in range(1, min(k, nvars - 1) + 1):
+        dim = dim * (top - i + 1) // i
+        if dim > MAX_PIECE_DIM:
+            raise ValueError(f"the degree-{k} piece in {nvars} variables has more "
+                             f"than {MAX_PIECE_DIM} monomials")
+
+
 @lru_cache(maxsize=None)
 def monomial_basis(nvars: int, k: int) -> Tuple[Monomial, ...]:
     """All degree-k monomials in nvars variables, in descending graded lex order.
 
     The list has C(nvars-1+k, k) entries and is the canonical index set for
-    every graded linear-algebra computation in the package.
+    every graded linear-algebra computation in the package; a list longer
+    than MAX_PIECE_DIM raises ValueError before anything is enumerated.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
     if nvars <= 0:
         raise ValueError("need at least one variable")
+    check_piece_dim(nvars, k)
 
     def rec(vars_left: int, deg: int):
         if vars_left == 1:
@@ -227,8 +259,19 @@ class Polynomial:
         )
 
     def __pow__(self, exponent: int):
+        """Power by repeated squaring.  One that needs a graded piece past
+        MAX_PIECE_DIM or, over the rationals, a coefficient of more than
+        MAX_COEFF_BITS bits raises ValueError before anything is computed."""
         if exponent < 0:
             raise ValueError("negative exponent")
+        if len(self.terms) > 1:
+            check_piece_dim(self.nvars, self.total_degree() * exponent)
+        elif self.terms and not self.field.characteristic:
+            (coeff,) = self.terms.values()
+            size = max(abs(coeff.numerator), coeff.denominator)
+            if size > 1 and size.bit_length() * exponent > MAX_COEFF_BITS:
+                raise ValueError(f"the power's coefficient would have more than "
+                                 f"{MAX_COEFF_BITS} bits")
         result = Polynomial.constant(self.nvars, 1, self.field)
         base = self
         e = exponent
@@ -367,71 +410,6 @@ def poly_div_exact(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
     return Polynomial(f.nvars, quotient, f.field)
 
 
-def _main_variable(*polys: Polynomial) -> Optional[int]:
-    """Largest variable index actually present in any argument."""
-    best = None
-    for p in polys:
-        for mono in p.terms:
-            for i in range(p.nvars - 1, -1, -1):
-                if mono[i]:
-                    best = i if best is None else max(best, i)
-                    break
-    return best
-
-
-def _as_univariate(f: Polynomial, var: int):
-    """View f as a polynomial in x_var with coefficients free of x_var."""
-    coeffs = {}
-    for mono, coeff in f.terms.items():
-        e = mono[var]
-        stripped = mono[:var] + (0,) + mono[var + 1:]
-        bucket = coeffs.setdefault(e, {})
-        bucket[stripped] = coeff
-    return {
-        e: Polynomial(f.nvars, bucket, f.field) for e, bucket in coeffs.items()
-    }
-
-
-def _from_univariate(coeffs, nvars, var, field) -> Polynomial:
-    total = Polynomial.zero(nvars, field)
-    for e, poly in coeffs.items():
-        shift = tuple(e if i == var else 0 for i in range(nvars))
-        total = total + poly.mul_monomial(shift)
-    return total
-
-
-def _content(coeffs) -> Polynomial:
-    polys = [p for p in coeffs.values() if not p.is_zero()]
-    result = polys[0]
-    for p in polys[1:]:
-        result = multivariate_gcd(result, p)
-        if result.total_degree() == 0:
-            break
-    return result
-
-
-def _pseudo_rem(f, g, var, nvars, field):
-    """Pseudo-remainder of f by g, both as univariate coefficient maps."""
-    df = max(f)
-    dg = max(g)
-    lc_g = g[dg]
-    while f and max(f) >= dg:
-        df = max(f)
-        lc_f = f[df]
-        # scale f by lc(g) then subtract x^(df-dg) * lc(f) * g
-        f = {e: p * lc_g for e, p in f.items()}
-        shift = df - dg
-        for e, p in g.items():
-            e2 = e + shift
-            acc = f.get(e2, Polynomial.zero(nvars, field)) - p * lc_f
-            if acc.is_zero():
-                f.pop(e2, None)
-            else:
-                f[e2] = acc
-        f = {e: p for e, p in f.items() if not p.is_zero()}
-    return f
-
-
 def _monic(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
@@ -488,77 +466,58 @@ def _uni_gcd_degree(a, b) -> int:
     return len(a) - 1
 
 
-def _coprime_on_line(a: Polynomial, b: Polynomial) -> bool:
-    """Certified gcd(a, b) == 1 via restriction to an affine line.
+def multivariate_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """GCD of two homogeneous polynomials, normalized to leading coefficient 1.
 
-    When both restrictions keep the full total degree, any nonconstant
-    common factor restricts to a nonconstant common divisor of the two
-    univariate restrictions; a constant univariate gcd therefore proves
-    coprimality outright.  An inconclusive line is retried; False only
-    means "not certified", never "not coprime".
+    With g = gcd(a, b) of degree e, u * a == v * b has a solution with u != 0
+    and deg u = deg b - k exactly when k <= e, and at k = e every solution is
+    u = c * b / g.  On a line where both restrictions keep full degree, a
+    common factor restricts to a common divisor of the same degree, so the
+    univariate gcd bounds e; a bound of 0, the common coprime case, needs no
+    linear algebra.  From the least bound down, a tracked Echelon whose
+    columns are monomials takes a * S_(deg b - k), which is independent,
+    then b * S_(deg a - k); the first multiple adding no rank is reduced to
+    read off u, and g is b / u made monic.
     """
-    da = a.total_degree()
-    db = b.total_degree()
+    a._check_compatible(b)
+    da, db = a.homogeneous_degree(), b.homogeneous_degree()
+    if da is None:
+        return _monic(b)
+    if db is None:
+        return _monic(a)
+    bound = min(da, db)
     field = a.field
     rng = random.Random(0x5EED11)
     for _ in range(4):
+        if not bound:
+            break
         base = [field.coerce(rng.randint(-9, 9)) for _ in range(a.nvars)]
         direction = [field.coerce(rng.randint(-9, 9)) for _ in range(a.nvars)]
         ua = _evaluate_on_line(a, base, direction)
         ub = _evaluate_on_line(b, base, direction)
-        if len(ua) - 1 != da or len(ub) - 1 != db:
-            continue
-        if _uni_gcd_degree(ua, ub) == 0:
-            return True
-    return False
-
-
-def multivariate_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """GCD over the coefficient field, normalized to leading coefficient 1.
-
-    Coprimality, by far the common case here, is certified first through
-    line restrictions.  Otherwise a content/primitive-part recursion on one
-    variable at a time with a primitive pseudo-remainder sequence takes
-    over; it is fast on the structured (near-monomial) inputs this package
-    produces, though dense coprime-free inputs of high degree would blow up.
-    """
-    if a.is_zero():
-        return _monic(b)
-    if b.is_zero():
-        return _monic(a)
-    a._check_compatible(b)
-    da = a.total_degree()
-    db = b.total_degree()
-    if da and db and _coprime_on_line(a, b):
-        return Polynomial.constant(a.nvars, 1, a.field)
-    var = _main_variable(a, b)
-    if var is None:
-        return Polynomial.constant(a.nvars, 1, a.field)
-    ua = _as_univariate(a, var)
-    ub = _as_univariate(b, var)
-    if max(ua) == 0 and max(ub) == 0:
-        # variable occurs in neither once stripped: plain recursion
-        return multivariate_gcd(ua[0], ub[0])
-    ca = _content(ua)
-    cb = _content(ub)
-    content_gcd = multivariate_gcd(ca, cb)
-    pa = {e: poly_div_exact(p, ca) for e, p in ua.items()}
-    pb = {e: poly_div_exact(p, cb) for e, p in ub.items()}
-    if max(pa) < max(pb):
-        pa, pb = pb, pa
-    while pb:
-        r = _pseudo_rem(pa, pb, var, a.nvars, a.field)
-        if not r:
-            pa = pb
-            break
-        cr = _content(r)
-        pa, pb = pb, {e: poly_div_exact(p, cr) for e, p in r.items()}
-    pp_gcd = _from_univariate(pa, a.nvars, var, a.field)
-    return _monic(content_gcd * pp_gcd)
+        if len(ua) - 1 == da and len(ub) - 1 == db:
+            bound = min(bound, _uni_gcd_degree(ua, ub))
+    for k in range(bound, 0, -1):
+        echelon = Echelon(field, track=True)
+        labels = []
+        for slot, (poly, shift) in enumerate(((a, db - k), (b, da - k))):
+            for mono in monomial_basis(a.nvars, shift):
+                multiple = poly.mul_monomial(mono).terms
+                if not echelon.insert(multiple):
+                    combo = echelon.reduce(multiple)[1]
+                    labelled = ((labels[g], c) for g, c in combo.items())
+                    u = slot_polynomials(labelled, 2, a.nvars, field)[0]
+                    return _monic(poly_div_exact(b, u))
+                labels.append((slot, mono))
+    return Polynomial.constant(a.nvars, 1, field)
 
 
 def gcd_many(polys: Iterable[Polynomial]) -> Polynomial:
-    """GCD of a collection; the zero polynomial contributes nothing."""
+    """GCD of a collection of homogeneous polynomials; the zero polynomial
+    contributes nothing."""
+    polys = list(polys)
+    if not all(p.is_homogeneous() for p in polys):
+        raise HomogeneityError("gcd needs homogeneous polynomials")
     result = None
     for p in polys:
         result = p if result is None else multivariate_gcd(result, p)

@@ -1,11 +1,17 @@
 import inspect
+import io
 import json
 import random
+import signal
 import subprocess
 import sys
+import tempfile
+from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjtorelli import cli, errors, torelli
 from adjtorelli.cli import main
@@ -15,7 +21,7 @@ from adjtorelli.parsing import (
     parse_polynomial,
     parse_problem_text,
 )
-from adjtorelli.polyring import Polynomial
+from adjtorelli.polyring import MAX_COEFF_BITS, MAX_PIECE_DIM, Polynomial
 
 from conftest import fermat, random_homogeneous, subprocess_env, x
 
@@ -231,6 +237,59 @@ def test_input_error_exit_code(tmp_path, capsys):
     code, _ = run_cli("macaulay", str(DATA / "fermat4.prob"), "--a", "x")
     assert code == 1
     assert capsys.readouterr().err == "input error: --a: cannot read degree 'x'\n"
+    code, _ = run_cli("jacobian", str(DATA / "fermat4.prob"), "--field", "p:abc")
+    assert code == 1
+    assert capsys.readouterr().err == "input error: unknown field descriptor 'p:abc'\n"
+
+
+class CpuLimitExceeded(Exception):
+    """Not a ValueError or OSError, so cli.main lets it through."""
+
+
+@contextmanager
+def cpu_limit(seconds):
+    """Raise CpuLimitExceeded once the process has spent ``seconds`` more CPU."""
+    def expire(signum, frame):
+        raise CpuLimitExceeded(f"more than {seconds} s of CPU")
+    previous = signal.signal(signal.SIGVTALRM, expire)
+    signal.setitimer(signal.ITIMER_VIRTUAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
+
+
+FERMAT4 = "n = 3\nF = x0^4 + x1^4 + x2^4 + x3^4\n"
+BUDGET = f"has more than {MAX_PIECE_DIM} monomials"
+# each would need a graded piece far past polyring.MAX_PIECE_DIM
+OVERSIZED = {
+    "jacobian-degree": (FERMAT4, ("--degree", "100000"),
+                        f"the degree-99997 piece in 4 variables {BUDGET}"),
+    "monomial-power": ("n = 3\nF = x0^999999 + x1^999999 + x2^999999 + x3^999999\n", (),
+                       f"the degree-2999991 piece in 4 variables {BUDGET}"),
+    "sum-power": ("n = 3\nF = (x0+x1+x2+x3)^100000\n", (),
+                  f"the degree-100000 piece in 4 variables {BUDGET} (line 2, column 19)"),
+    "many-coordinates": ("n = 400\nF = x0^4\n", (),
+                         f"the degree-800 piece in 401 variables {BUDGET}"),
+    "huge-n": ("n = 100000000\nF = x0^4\n", (),
+               f"n + 1 = 100000001 coordinates exceed the budget of {MAX_PIECE_DIM} "
+               "monomials per graded piece (line 1, column 5)"),
+    "number-power": ("n = 3\nF = 3^14001*x0^4 + x1^4 + x2^4 + x3^4\n", (),
+                     f"the power's coefficient would have more than {MAX_COEFF_BITS} "
+                     "bits (line 2, column 7)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_problems_fail_fast(name, tmp_path, capsys):
+    text, flags, message = OVERSIZED[name]
+    prob = tmp_path / "big.prob"
+    prob.write_text(text)
+    with cpu_limit(1.0):
+        code, out = run_cli("jacobian", str(prob), *flags)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -368,3 +427,46 @@ def test_timings_flag_adds_section():
         )
         assert code == 0
         assert set(json.loads(text)["timings"]) == {"parse_s", "check_s"}, command
+
+
+# ----- fuzzing the command line ---------------------------------------------------
+
+# Small exponents, and exponents past every size budget.  Exponents in between
+# can stay inside the budget and still take minutes to expand (README, Scale).
+EXPONENTS = st.one_of(st.integers(0, 4), st.integers(10 ** 5, 10 ** 12))
+ATOMS = st.one_of(
+    st.integers(0, 10 ** 6).map(str),
+    st.builds("{}/{}".format, st.integers(0, 99), st.integers(0, 99)),
+    st.builds("x{}".format, st.integers(0, 3)),
+)
+EXPRESSIONS = st.recursive(ATOMS, lambda inner: st.one_of(
+    st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+    st.builds("({})".format, inner),
+    st.builds("{}^{}".format, inner, EXPONENTS),
+    st.builds("-{}".format, inner),
+), max_leaves=8)
+PROBLEMS = st.one_of(
+    st.builds("n = {}\nF = {}\n{}".format, st.sampled_from([1, 2, 400, 10 ** 8]),
+              EXPRESSIONS, st.one_of(st.just(""), EXPRESSIONS.map("R = {}\n".format))),
+    EXPRESSIONS.map("n = 2\nF = x0^3 + x1^3 + x2^3\nR = {}\n".format),
+)
+COMMANDS = (["torelli", "--trials", "1"], ["jacobian"], ["adjoint", "--w", "01,02"],
+            ["macaulay"])
+LABELS = ("input error", "hypothesis violation", "internal error")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(PROBLEMS)
+def test_cli_never_escapes_generated_problems(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        prob = Path(tmp) / "fuzz.prob"
+        prob.write_text(text)
+        for command, *flags in COMMANDS:
+            err = io.StringIO()
+            with redirect_stderr(err), cpu_limit(5.0):
+                code, _ = run_cli(command, str(prob), *flags)
+            assert 0 <= code <= 3, (command, text)
+            if code:
+                label, sep, message = err.getvalue().partition(": ")
+                assert label in LABELS and sep and message, (command, text)
+                assert message.count("\n") == 1 and message.endswith("\n")

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adjtorelli.errors import (
@@ -11,9 +11,12 @@ from adjtorelli.errors import (
     HomogeneityError,
     VariableCountMismatchError,
 )
-from adjtorelli.fields import PrimeField
+from adjtorelli.fields import QQ, PrimeField
 from adjtorelli.polyring import (
+    MAX_COEFF_BITS,
+    MAX_PIECE_DIM,
     Polynomial,
+    check_piece_dim,
     euler_pair,
     gcd_many,
     grlex_key,
@@ -120,6 +123,31 @@ def test_monomial_basis_shape(nvars, k):
     assert keys == sorted(keys, reverse=True)
 
 
+def test_piece_budget_is_checked_before_enumerating():
+    check_piece_dim(6, 19)  # smoothness piece of a quintic fourfold: 42504
+    with pytest.raises(ValueError, match="degree-25 piece in 6 variables"):
+        check_piece_dim(6, 25)  # 142506
+    with pytest.raises(ValueError, match=f"more than {MAX_PIECE_DIM} monomials"):
+        check_piece_dim(10 ** 9, 10 ** 9)
+    check_piece_dim(2, MAX_PIECE_DIM - 1)  # exactly MAX_PIECE_DIM monomials
+    with pytest.raises(ValueError):
+        monomial_basis(2, MAX_PIECE_DIM)
+    with pytest.raises(ValueError, match="degree-1000000 piece"):
+        (x(0) + x(1)) ** 10 ** 6
+    assert x(0) ** 10 ** 12 == Polynomial.from_monomial(4, (10 ** 12, 0, 0, 0))
+
+
+def test_power_of_a_number_is_bounded_in_bits():
+    half = MAX_COEFF_BITS // 2
+    assert Polynomial.constant(4, 3) ** half == Polynomial.constant(4, 3 ** half)
+    assert Polynomial.constant(4, -1) ** 10 ** 12 == Polynomial.constant(4, 1)
+    with pytest.raises(ValueError, match=f"more than {MAX_COEFF_BITS} bits"):
+        Polynomial.constant(4, Fraction(1, 2)) ** (half + 1)
+    gf = PrimeField(101)
+    power = Polynomial.constant(4, 3, gf) ** 10 ** 12
+    assert power == Polynomial.constant(4, pow(3, 10 ** 12, 101), gf)
+
+
 # ----- Euler pairing --------------------------------------------------------
 
 def test_euler_pair_degree_two():
@@ -187,32 +215,40 @@ def test_poly_div_exact_detects_nondivisor():
 
 def test_gcd_random_pairs_against_sympy():
     sympy = pytest.importorskip("sympy")
-    symbols = sympy.symbols("x0 x1 x2")
 
-    def to_sympy(p):
+    def to_sympy(p, symbols):
         total = 0
         for mono, coeff in p.terms.items():
-            term = sympy.Rational(coeff)
+            term = sympy.Integer(coeff.value) if p.field.characteristic \
+                else sympy.Rational(coeff)
             for s, e in zip(symbols, mono):
                 term *= s ** e
             total += term
         return total
 
+    def sympy_gcd(a, b):
+        """sympy's gcd of a and b as a monic package polynomial."""
+        symbols = sympy.symbols(f"x0:{a.nvars}")
+        p = a.field.characteristic
+        extra = {"modulus": p} if p else {}
+        g = sympy.Poly(sympy.gcd(to_sympy(a, symbols), to_sympy(b, symbols), **extra),
+                       *symbols, **extra)
+        terms = {m: a.field.coerce(int(c) if p else Fraction(int(c.p), int(c.q)))
+                 for m, c in g.terms()}
+        g = Polynomial(a.nvars, terms, a.field)
+        return g.scale(a.field.one / g.coefficient(g.leading_monomial()))
+
     rng = random.Random(2024)
-    for _ in range(8):
-        common = random_homogeneous(3, 1, rng)
-        a = random_homogeneous(3, 2, rng) * common
-        b = random_homogeneous(3, 2, rng) * common
+    cases = [(3, QQ)] * 8 + [(4, QQ)] * 4 + [(4, PrimeField(32003))]
+    for nvars, field in cases:
+        common = random_homogeneous(nvars, 1, rng, field)
+        a = random_homogeneous(nvars, 2, rng, field) * common
+        b = random_homogeneous(nvars, 2, rng, field) * common
         if a.is_zero() or b.is_zero():
             continue
         ours = multivariate_gcd(a, b)
-        theirs = sympy.Poly(
-            sympy.gcd(to_sympy(a), to_sympy(b)), *symbols
-        )
-        # compare up to the scalar normalization each side chooses
-        assert poly_div_exact(a, ours) is not None
-        assert poly_div_exact(b, ours) is not None
-        assert ours.total_degree() == sympy.total_degree(theirs.as_expr())
+        assert ours.total_degree() >= 1
+        assert ours == sympy_gcd(a, b)
 
 
 def test_gcd_of_coprime_randoms_is_one():
@@ -227,6 +263,33 @@ def test_gcd_of_coprime_randoms_is_one():
 def test_gcd_many_shared_variable():
     polys = [4 * x(0) * x(1) ** 3, -4 * x(0) * x(2) ** 3, 4 * x(0) * x(3) ** 3]
     assert gcd_many(polys) == x(0)
+
+
+def test_gcd_rejects_inhomogeneous_input():
+    with pytest.raises(HomogeneityError):
+        multivariate_gcd(x(0) ** 2 + x(1), x(0))
+    with pytest.raises(HomogeneityError):
+        gcd_many([x(0) ** 2 + x(1)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([QQ, PrimeField(32003)]),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+def test_gcd_keeps_every_common_factor(field, nvars, dg, da, db, seed):
+    rng = random.Random(seed)
+    g, a, b = (random_homogeneous(nvars, k, rng, field) for k in (dg, da, db))
+    assume(not g.is_zero())
+    ga, gb = g * a, g * b
+    result = multivariate_gcd(ga, gb)
+    assert poly_div_exact(result, g) is not None
+    assert poly_div_exact(ga, result) is not None
+    assert poly_div_exact(gb, result) is not None
 
 
 # ----- canonical form --------------------------------------------------------
