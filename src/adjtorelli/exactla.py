@@ -12,6 +12,11 @@ rref reads a dense matrix's reduced form, pivots and rank off an untracked
 Echelon; solve_in_span writes a target over generators with a tracked one;
 polyring's gcd reads its relation u * a == v * b off a tracked one whose
 columns are monomials (any ordered, hashable column keys work).
+
+Over GF(p) an Echelon's rows and combinations are raw ints in [0, p), as
+in modular elimination generally: values meet PrimeFieldElement only at
+insert, reduce and rref, so callers see field elements.  Over the
+rationals rows hold Fractions.
 """
 
 from __future__ import annotations
@@ -94,7 +99,8 @@ def rref(m: Matrix, field=QQ) -> Tuple[Matrix, Tuple[int, ...], int]:
     """Reduced row echelon form, pivot columns, and rank.
 
     The rows go into an untracked Echelon; its stored rows, read in pivot
-    order and padded with zero rows, are the reduced row echelon form.
+    order as field elements and padded with zero rows, are the reduced row
+    echelon form.
     """
     ech = Echelon(field)
     for i in range(m.rows):
@@ -106,7 +112,7 @@ def rref(m: Matrix, field=QQ) -> Tuple[Matrix, Tuple[int, ...], int]:
     flat = []
     for col in pivots:
         row = ech.rows[ech.pivot_rows[col]]
-        flat.extend(row.get(j, field.zero) for j in range(m.cols))
+        flat.extend(field.coerce(row.get(j, 0)) for j in range(m.cols))
     flat.extend([field.zero] * ((m.rows - len(pivots)) * m.cols))
     return Matrix(m.rows, m.cols, flat), pivots, len(pivots)
 
@@ -119,11 +125,17 @@ class Echelon:
     inserted so far, with the pivot of each row being its smallest column.
     With track=True each row additionally carries its expression as a
     combination of inserted generators (indexed by insertion order).
+
+    Over GF(p) the stored rows and combinations hold plain ints in [0, p):
+    insert and reduce take every incoming value through field.coerce, so an
+    element of another field is still rejected, and reduce hands back field
+    elements.  Over the rationals they hold Fractions as given.
     """
 
     def __init__(self, field=QQ, track: bool = False):
         self.field = field
         self.track = track
+        self.p = field.characteristic  # 0 over the rationals
         self.rows: List[Dict] = []
         self.combos: List[Dict] = []
         self.pivot_rows: Dict[int, int] = {}
@@ -140,17 +152,40 @@ class Echelon:
     def nonpivot_columns(self, dim: int) -> Tuple[int, ...]:
         return tuple(c for c in range(dim) if c not in self.pivot_rows)
 
+    def _entries(self, vec: Dict) -> Dict:
+        """A fresh copy of vec's nonzero entries in the stored representation."""
+        if not self.p:
+            return {c: v for c, v in vec.items() if v}
+        coerce = self.field.coerce
+        return {c: r for c, v in vec.items() if (r := coerce(v).value)}
+
     def reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
         """Residual of vec modulo the current row space, plus the generator
         combination used: vec == residual + sum(combo[g] * generator_g)."""
-        vec = {c: v for c, v in vec.items() if v}
+        residual, combo = self._reduce(self._entries(vec))
+        if not self.p:
+            return residual, combo
+        coerce = self.field.coerce
+        return ({c: coerce(v) for c, v in residual.items()},
+                {g: coerce(v) for g, v in combo.items()})
+
+    def _reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
+        """reduce on a vector already in the stored representation, in place."""
+        p = self.p
         combo: Dict = {}
         hits = sorted(c for c in vec if c in self.pivot_rows)
         for col in hits:
+            ridx = self.pivot_rows[col]
+            if p:
+                mult = vec.get(col)  # the row's 1 at col clears it
+                if mult:
+                    _sub_multiple(vec, mult, self.rows[ridx], p)
+                    if self.track:
+                        _sub_multiple(combo, p - mult, self.combos[ridx], p)
+                continue
             mult = vec.pop(col, None)
             if mult is None or not mult:
                 continue
-            ridx = self.pivot_rows[col]
             row = self.rows[ridx]
             for c2, v2 in row.items():
                 if c2 == col:
@@ -178,6 +213,21 @@ class Echelon:
     def _row_update(self, ridx: int, factor, pivot_row: Dict, pivot_combo: Dict):
         """rows[ridx] -= factor * pivot_row (and same on the combination)."""
         row = self.rows[ridx]
+        p = self.p
+        if p:
+            for c2, v2 in pivot_row.items():
+                acc = row.get(c2)
+                if acc is None:
+                    row[c2] = -factor * v2 % p
+                    self.col_rows.setdefault(c2, set()).add(ridx)
+                elif acc := (acc - factor * v2) % p:
+                    row[c2] = acc
+                else:
+                    del row[c2]
+                    self.col_rows[c2].discard(ridx)
+            if self.track:
+                _sub_multiple(self.combos[ridx], factor, pivot_combo, p)
+            return
         for c2, v2 in pivot_row.items():
             acc = row.get(c2)
             acc = -factor * v2 if acc is None else acc - factor * v2
@@ -203,17 +253,22 @@ class Echelon:
         """Insert one generator; returns True when the rank increased."""
         gen_idx = self.n_inserted
         self.n_inserted += 1
-        residual, combo = self.reduce(vec)
+        residual, combo = self._reduce(self._entries(vec))
         if not residual:
             return False
         pivot = min(residual)
         lead = residual[pivot]
-        row = {c: v / lead for c, v in residual.items()}
-        if self.track:
-            new_combo = {g: -v / lead for g, v in combo.items() if v}
-            new_combo[gen_idx] = self.field.one / lead
+        p = self.p
+        # combo is empty unless tracking
+        if p:
+            inv = pow(lead, -1, p)
+            row = {c: v * inv % p for c, v in residual.items()}
+            new_combo = {g: -v * inv % p for g, v in combo.items()}
         else:
-            new_combo = {}
+            row = {c: v / lead for c, v in residual.items()}
+            new_combo = {g: -v / lead for g, v in combo.items() if v}
+        if self.track:
+            new_combo[gen_idx] = inv if p else self.field.one / lead
         # keep existing rows reduced against the new pivot column
         for ridx in sorted(self.col_rows.get(pivot, ())):
             factor = self.rows[ridx].get(pivot)
@@ -225,6 +280,18 @@ class Echelon:
         self.pivot_rows[pivot] = ridx
         self._register(ridx, row)
         return True
+
+
+def _sub_multiple(target: Dict, factor: int, source: Dict, p: int):
+    """target -= factor * source on residues mod p, in place; neither holds a 0."""
+    for k, v in source.items():
+        acc = target.get(k)
+        if acc is None:
+            target[k] = -factor * v % p
+        elif acc := (acc - factor * v) % p:
+            target[k] = acc
+        else:
+            del target[k]
 
 
 def solve_in_span(

@@ -13,7 +13,9 @@ n (projective dimension), F (hypersurface equation), R (optional
 deformation polynomial).  Diagnostics carry line and column, counted from
 the start of the line.  Parentheses nest at most MAX_NESTING deep, n + 1
 may not exceed polyring.MAX_PIECE_DIM, and a power past one of the size
-budgets of Polynomial.__pow__ is a located parse error.
+budgets of Polynomial.__pow__ is a located parse error; so are an integer
+literal or a rational coefficient past polyring.MAX_COEFF_BITS, found
+before the literal is converted or the coefficient is printed.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ from typing import List, Optional, Tuple
 
 from .errors import ParseError
 from .fields import QQ
-from .polyring import MAX_PIECE_DIM, Polynomial
+from .polyring import MAX_COEFF_BITS, MAX_PIECE_DIM, Polynomial
 
 # Each level of parentheses costs four frames of the recursive descent, so
 # the bound stays well inside the interpreter's default recursion limit.
 MAX_NESTING = 100
+# Decimal digits of 2^MAX_COEFF_BITS: a literal with more (past its leading
+# zeros) is past the budget, and one with fewer converts with int().
+_MAX_COEFF_DIGITS = len(str(2 ** MAX_COEFF_BITS))
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,24 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.column)
 
+    def integer(self, tok: Token) -> int:
+        """The value of an integer literal inside MAX_COEFF_BITS."""
+        digits = tok.text.lstrip("0") or "0"
+        if len(digits) > _MAX_COEFF_DIGITS or int(digits).bit_length() > MAX_COEFF_BITS:
+            raise ParseError(f"integer literal has more than {MAX_COEFF_BITS} bits",
+                             tok.line, tok.column)
+        return int(digits)
+
+    def bounded(self, poly: Polynomial, tok: Token) -> Polynomial:
+        """poly, unless a rational coefficient's numerator or denominator is
+        past MAX_COEFF_BITS; tok locates the operation that made it."""
+        if not self.field.characteristic:
+            for c in poly.terms.values():
+                if max(abs(c.numerator), c.denominator).bit_length() > MAX_COEFF_BITS:
+                    raise ParseError(f"a coefficient has more than {MAX_COEFF_BITS} bits",
+                                     tok.line, tok.column)
+        return poly
+
     def parse(self) -> Polynomial:
         result = self.expr()
         if self.peek().kind != "END":
@@ -107,16 +130,16 @@ class _Parser:
     def expr(self) -> Polynomial:
         result = self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
+            op = self.advance()
             rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
+            result = self.bounded(result + rhs if op.text == "+" else result - rhs, op)
         return result
 
     def term(self) -> Polynomial:
         result = self.factor()
         while self.peek().kind == "OP" and self.peek().text == "*":
-            self.advance()
-            result = result * self.factor()
+            op = self.advance()
+            result = self.bounded(result * self.factor(), op)
         return result
 
     def factor(self) -> Polynomial:
@@ -131,26 +154,29 @@ class _Parser:
             if tok.kind != "NUM":
                 self.fail("exponent must be a non-negative integer")
             self.advance()
+            exponent = self.integer(tok)
             try:
-                base = base ** int(tok.text)
-            except ValueError as exc:  # past a size budget, or too many digits
+                base = base ** exponent
+            except ValueError as exc:  # past a size budget
                 raise ParseError(str(exc), tok.line, tok.column) from None
+            base = self.bounded(base, tok)
         return base if sign > 0 else -base
 
     def atom(self) -> Polynomial:
         tok = self.peek()
         if tok.kind == "NUM":
             self.advance()
-            value = Fraction(int(tok.text))
+            value = Fraction(self.integer(tok))
             if self.peek().kind == "OP" and self.peek().text == "/":
                 self.advance()
                 den = self.peek()
                 if den.kind != "NUM":
                     self.fail("denominator must be an integer")
                 self.advance()
-                if int(den.text) == 0:
+                denominator = self.integer(den)
+                if denominator == 0:
                     raise ParseError("zero denominator", den.line, den.column)
-                value = value / int(den.text)
+                value = value / denominator
             try:
                 coeff = self.field.coerce(value)
             except ZeroDivisionError as exc:
@@ -158,13 +184,13 @@ class _Parser:
             return Polynomial.constant(self.nvars, coeff, self.field)
         if tok.kind == "VAR":
             self.advance()
-            idx = int(tok.text[1:])
-            if idx >= self.nvars:
+            index = tok.text[1:].lstrip("0") or "0"
+            if len(index) > len(str(self.nvars)) or int(index) >= self.nvars:
                 raise ParseError(
                     f"unknown variable {tok.text} (expected x0..x{self.nvars - 1})",
                     tok.line, tok.column,
                 )
-            return Polynomial.variable(self.nvars, idx, self.field)
+            return Polynomial.variable(self.nvars, int(index), self.field)
         if tok.kind == "LPAREN":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",

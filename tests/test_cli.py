@@ -278,6 +278,12 @@ OVERSIZED = {
     "number-power": ("n = 3\nF = 3^14001*x0^4 + x1^4 + x2^4 + x3^4\n", (),
                      f"the power's coefficient would have more than {MAX_COEFF_BITS} "
                      "bits (line 2, column 7)"),
+    "long-literal": ("n = 3\nF = " + "7" * 5000 + "*x0^4 + x1^4 + x2^4 + x3^4\n", (),
+                     f"integer literal has more than {MAX_COEFF_BITS} bits "
+                     "(line 2, column 5)"),
+    "number-product": ("n = 3\nF = 3^7000*3^7000*x0^4 + x1^4 + x2^4 + x3^4\n", (),
+                       f"a coefficient has more than {MAX_COEFF_BITS} bits "
+                       "(line 2, column 11)"),
 }
 
 

@@ -12,17 +12,16 @@ from adjtorelli.exactla import (
     rref,
     solve_in_span,
 )
-from adjtorelli.fields import QQ
+from adjtorelli.fields import QQ, PrimeField, PrimeFieldElement
 
 F = Fraction
 
 
-def matrices(max_dim=5):
+def matrices(max_dim=5, elements=st.fractions(min_value=-6, max_value=6, max_denominator=3)):
     return st.integers(min_value=1, max_value=max_dim).flatmap(
         lambda r: st.integers(min_value=1, max_value=max_dim).flatmap(
             lambda c: st.lists(
-                st.fractions(min_value=-6, max_value=6, max_denominator=3),
-                min_size=r * c, max_size=r * c,
+                elements, min_size=r * c, max_size=r * c,
             ).map(lambda entries: Matrix(r, c, entries))
         )
     )
@@ -147,3 +146,88 @@ def test_echelon_combination_tracking():
             for k in range(4):
                 rebuilt[k] += c * gens[g_idx][k]
         assert {j: v for j, v in enumerate(rebuilt) if v} == row
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+@settings(max_examples=40, deadline=None)
+@given(m=matrices(elements=st.integers(min_value=-40_000, max_value=40_000)))
+def test_echelon_agrees_with_dense_rref_mod_p(p, m):
+    """Over GF(p) the stored residues, rref and reduce match sympy's GF(p) RREF."""
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    K = GF(p)
+    field = PrimeField(p)
+    dense, pivots = DomainMatrix(
+        [[K(v) for v in m.row(i)] for i in range(m.rows)], (m.rows, m.cols), K
+    ).rref()
+    expected = [K.to_int(v) % p for row in dense.to_list() for v in row]
+    gens = [{j: field.coerce(v) for j, v in enumerate(m.row(i)) if v % p}
+            for i in range(m.rows)]
+    ech = Echelon(field, track=True)
+    for g in gens:
+        ech.insert(g)
+    assert ech.pivot_columns() == tuple(pivots)
+    for pivot_col, ridx in ech.pivot_rows.items():
+        start = pivots.index(pivot_col) * m.cols
+        row = expected[start:start + m.cols]
+        assert ech.rows[ridx] == {j: v for j, v in enumerate(row) if v}
+        # the tracked combination rebuilds the stored row
+        rebuilt = [field.zero] * m.cols
+        for g_idx, c in ech.combos[ridx].items():
+            for j, v in gens[g_idx].items():
+                rebuilt[j] += c * v
+        assert [v.value for v in rebuilt] == row
+    reduced, rref_pivots, rank = rref(m, field)
+    assert (rref_pivots, rank) == (tuple(pivots), len(pivots))
+    assert all(isinstance(v, PrimeFieldElement) and v.modulus == p
+               for v in reduced.entries)
+    assert [v.value for v in reduced.entries] == expected
+    target = {j: field.coerce(j + 1) for j in range(m.cols)}
+    residual, combo = ech.reduce(target)
+    values = list(residual.values()) + list(combo.values())
+    assert all(isinstance(v, PrimeFieldElement) and v.modulus == p for v in values)
+    rebuilt = dict(residual)
+    for g_idx, c in combo.items():
+        for j, v in gens[g_idx].items():
+            rebuilt[j] = rebuilt.get(j, field.zero) + c * v
+    assert {j: v for j, v in rebuilt.items() if v} == target
+
+
+def test_prime_field_echelon_creates_no_elements(monkeypatch):
+    """Over GF(p) the echelon works on residues: inserting creates no field
+    elements, and a reduce creates only the ones it hands back."""
+    field = PrimeField(32003)
+    rng = random.Random(8)
+    rows = [{rng.randrange(40): field.coerce(rng.randrange(1, 32003)) for _ in range(5)}
+            for _ in range(30)]
+    target = {c: field.coerce(rng.randrange(1, 32003)) for c in range(0, 40, 3)}
+    created = [0]
+    init = PrimeFieldElement.__init__
+
+    def counting_init(self, value, modulus):
+        created[0] += 1
+        init(self, value, modulus)
+
+    monkeypatch.setattr(PrimeFieldElement, "__init__", counting_init)
+    ech = Echelon(field, track=True)
+    for row in rows:
+        ech.insert(row)
+    assert created[0] == 0
+    residual, combo = ech.reduce(target)
+    assert combo
+    assert created[0] <= len(residual) + len(combo)
+
+
+def test_prime_field_echelon_rejects_other_modulus():
+    field = PrimeField(32003)
+    alien = {0: PrimeFieldElement(3, 7)}
+    with pytest.raises(ValueError):
+        Echelon(field, track=True).insert(alien)
+    ech = Echelon(field, track=True)
+    ech.insert({0: field.one, 1: field.coerce(2)})
+    with pytest.raises(ValueError):
+        ech.insert(alien)
+    with pytest.raises(ValueError):
+        ech.reduce(alien)
