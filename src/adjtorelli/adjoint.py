@@ -36,7 +36,7 @@ from .errors import (
     HypothesisViolationError,
     VariableCountMismatchError,
 )
-from .exactla import Matrix, rref, solve_in_span
+from .exactla import rref, solve_in_span
 from .extforms import (
     ExtForm,
     basis_one_form,
@@ -103,7 +103,7 @@ def wsystem_from_coords(nvars: int, rows, field=QQ, provenance: str = "explicit"
         raise ValueError("empty system")
     if len(coords) != nvars - 1:
         raise DependentSystemError(f"need exactly {nvars - 1} one-forms, got {len(coords)}")
-    _, _, matrix_rank = rref(Matrix.from_rows(coords), field)
+    _, _, matrix_rank = rref(coords, field)
     if matrix_rank != len(coords):
         raise DependentSystemError("one-forms are linearly dependent")
     forms = []

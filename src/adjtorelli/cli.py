@@ -256,12 +256,12 @@ def cmd_macaulay(args, F, R):
                 raise ParseError(f"--a: cannot read degree {token!r}") from None
     pairings = []
     for a in degrees:
-        matrix = jacobian_mod.pairing_matrix(h, a)
+        rows = jacobian_mod.pairing_matrix(h, a)
         pairings.append({
             "a": a,
-            "left_dimension": matrix.rows,
-            "right_dimension": matrix.cols,
-            "perfect": jacobian_mod.pairing_is_perfect(matrix, h.field),
+            "left_dimension": len(rows),
+            "right_dimension": len(rows[0]) if rows else 0,
+            "perfect": jacobian_mod.pairing_is_perfect(rows, h.field),
         })
     verdicts = {
         "socle_degree": sigma,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (
     FieldConstraintError,
@@ -23,7 +23,7 @@ from .errors import (
     NotSmoothError,
     VariableCountMismatchError,
 )
-from .exactla import Echelon, Matrix, rref
+from .exactla import Echelon, rref
 from .polyring import (
     Monomial,
     Polynomial,
@@ -274,8 +274,9 @@ def deformation_class(h: Hypersurface, R: Polynomial) -> DeformationClass:
     return DeformationClass(R, representative, MembershipCertificate(parts))
 
 
-def pairing_matrix(h: Hypersurface, a: int) -> Matrix:
-    """Multiplication pairing of quotient pieces in degrees a and socle - a.
+def pairing_matrix(h: Hypersurface, a: int) -> List[Tuple]:
+    """Multiplication pairing of quotient pieces in degrees a and socle - a,
+    as row tuples.
 
     Entry (i, j) is the socle coordinate of b_i * c_j after reduction into
     the canonical quotient complement in the socle degree.
@@ -298,10 +299,8 @@ def pairing_matrix(h: Hypersurface, a: int) -> Matrix:
             vec = {basis_index(h.nvars, sigma)[product]: h.field.one}
             residual, _ = socle_piece.echelon.reduce(vec)
             row.append(residual.get(socle_col, h.field.zero))
-        rows.append(row)
-    if not rows:
-        return Matrix(0, 0, [])
-    return Matrix.from_rows(rows)
+        rows.append(tuple(row))
+    return rows
 
 
 def macaulay_pairing_check(h: Hypersurface, a: int) -> bool:
@@ -309,9 +308,8 @@ def macaulay_pairing_check(h: Hypersurface, a: int) -> bool:
     return pairing_is_perfect(pairing_matrix(h, a), h.field)
 
 
-def pairing_is_perfect(m: Matrix, field) -> bool:
-    """True iff a pairing matrix has full rank; an empty one must be 0 x 0."""
-    if m.rows == 0 or m.cols == 0:
-        return m.rows == m.cols
-    _, _, rank = rref(m, field)
-    return rank == min(m.rows, m.cols)
+def pairing_is_perfect(rows, field) -> bool:
+    """True iff a pairing matrix is square with rank equal to its size."""
+    if any(len(row) != len(rows) for row in rows):
+        return False
+    return rref(rows, field)[2] == len(rows)

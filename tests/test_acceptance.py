@@ -95,7 +95,7 @@ def test_criterion_2_macaulay_duality(fermat_quartic):
     for a in (2, 3, 4):
         matrix = pairing_matrix(h, a)
         _, _, rank = rref(matrix)
-        assert rank == min(matrix.rows, matrix.cols)
+        assert rank == min(len(matrix), len(matrix[0]))
         assert macaulay_pairing_check(h, a)
     announce(2, "socle dimension 1 at degree 8; perfect pairing at a=2,3,4")
 

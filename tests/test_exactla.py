@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from adjtorelli.exactla import (
     Echelon,
-    Matrix,
     SpanCertificate,
     rref,
     solve_in_span,
@@ -21,14 +20,14 @@ def matrices(max_dim=5, elements=st.fractions(min_value=-6, max_value=6, max_den
     return st.integers(min_value=1, max_value=max_dim).flatmap(
         lambda r: st.integers(min_value=1, max_value=max_dim).flatmap(
             lambda c: st.lists(
-                elements, min_size=r * c, max_size=r * c,
-            ).map(lambda entries: Matrix(r, c, entries))
+                st.lists(elements, min_size=c, max_size=c), min_size=r, max_size=r,
+            )
         )
     )
 
 
 def test_rref_identity_fixed_point():
-    m = Matrix.identity(3)
+    m = [tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
     reduced, pivots, rank = rref(m)
     assert reduced == m
     assert pivots == (0, 1, 2)
@@ -36,7 +35,7 @@ def test_rref_identity_fixed_point():
 
 
 def test_rref_zero_matrix():
-    m = Matrix(2, 2, [F(0)] * 4)
+    m = [(F(0), F(0))] * 2
     reduced, pivots, rank = rref(m)
     assert reduced == m
     assert pivots == ()
@@ -44,10 +43,15 @@ def test_rref_zero_matrix():
 
 
 def test_rref_rank_one():
-    m = Matrix.from_rows([[F(1), F(2)], [F(2), F(4)]])
+    m = [[F(1), F(2)], [F(2), F(4)]]
     _, pivots, rank = rref(m)
     assert rank == 1
     assert pivots == (0,)
+
+
+def test_rref_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        rref([[F(1), F(2)], [F(1)]])
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,8 +67,8 @@ def test_rref_idempotent(m):
 def test_rank_nullity(m):
     sympy = pytest.importorskip("sympy")
     _, _, rank = rref(m)
-    nullity = len(sympy.Matrix(m.rows, m.cols, m.entries).nullspace())
-    assert rank + nullity == m.cols
+    nullity = len(sympy.Matrix(m).nullspace())
+    assert rank + nullity == len(m[0])
 
 
 def test_solve_in_span_standard_basis():
@@ -116,21 +120,22 @@ def test_verify_rejects_wrong_certificate():
 def test_echelon_agrees_with_dense_rref(m):
     """The incremental accumulator and rref must land on sympy's canonical RREF."""
     sympy = pytest.importorskip("sympy")
-    dense, pivots = sympy.Matrix(m.rows, m.cols, m.entries).rref()
+    cols = len(m[0])
+    dense, pivots = sympy.Matrix(m).rref()
     ech = Echelon(QQ, track=True)
-    for i in range(m.rows):
-        ech.insert({j: v for j, v in enumerate(m.row(i)) if v})
+    for r in m:
+        ech.insert({j: v for j, v in enumerate(r) if v})
     assert ech.rank == len(pivots)
     assert ech.pivot_columns() == pivots
     expected = [F(int(v.p), int(v.q)) for v in dense]
     # every stored row matches the corresponding nonzero row of sympy's RREF
     for pivot_col, ridx in ech.pivot_rows.items():
-        start = pivots.index(pivot_col) * m.cols
-        row = expected[start:start + m.cols]
+        start = pivots.index(pivot_col) * cols
+        row = expected[start:start + cols]
         assert ech.rows[ridx] == {j: v for j, v in enumerate(row) if v}
     reduced, rref_pivots, rank = rref(m)
     assert (rref_pivots, rank) == (pivots, len(pivots))
-    assert list(reduced.entries) == expected
+    assert [v for r in reduced for v in r] == expected
 
 
 def test_echelon_combination_tracking():
@@ -159,32 +164,32 @@ def test_echelon_agrees_with_dense_rref_mod_p(p, m):
 
     K = GF(p)
     field = PrimeField(p)
+    cols = len(m[0])
     dense, pivots = DomainMatrix(
-        [[K(v) for v in m.row(i)] for i in range(m.rows)], (m.rows, m.cols), K
+        [[K(v) for v in r] for r in m], (len(m), cols), K
     ).rref()
     expected = [K.to_int(v) % p for row in dense.to_list() for v in row]
-    gens = [{j: field.coerce(v) for j, v in enumerate(m.row(i)) if v % p}
-            for i in range(m.rows)]
+    gens = [{j: field.coerce(v) for j, v in enumerate(r) if v % p} for r in m]
     ech = Echelon(field, track=True)
     for g in gens:
         ech.insert(g)
     assert ech.pivot_columns() == tuple(pivots)
     for pivot_col, ridx in ech.pivot_rows.items():
-        start = pivots.index(pivot_col) * m.cols
-        row = expected[start:start + m.cols]
+        start = pivots.index(pivot_col) * cols
+        row = expected[start:start + cols]
         assert ech.rows[ridx] == {j: v for j, v in enumerate(row) if v}
         # the tracked combination rebuilds the stored row
-        rebuilt = [field.zero] * m.cols
+        rebuilt = [field.zero] * cols
         for g_idx, c in ech.combos[ridx].items():
             for j, v in gens[g_idx].items():
                 rebuilt[j] += c * v
         assert [v.value for v in rebuilt] == row
     reduced, rref_pivots, rank = rref(m, field)
     assert (rref_pivots, rank) == (tuple(pivots), len(pivots))
-    assert all(isinstance(v, PrimeFieldElement) and v.modulus == p
-               for v in reduced.entries)
-    assert [v.value for v in reduced.entries] == expected
-    target = {j: field.coerce(j + 1) for j in range(m.cols)}
+    entries = [v for r in reduced for v in r]
+    assert all(isinstance(v, PrimeFieldElement) and v.modulus == p for v in entries)
+    assert [v.value for v in entries] == expected
+    target = {j: field.coerce(j + 1) for j in range(cols)}
     residual, combo = ech.reduce(target)
     values = list(residual.values()) + list(combo.values())
     assert all(isinstance(v, PrimeFieldElement) and v.modulus == p for v in values)
@@ -231,3 +236,46 @@ def test_prime_field_echelon_rejects_other_modulus():
         ech.insert(alien)
     with pytest.raises(ValueError):
         ech.reduce(alien)
+
+
+def test_rational_echelon_stores_fractions_and_rejects_floats():
+    ech = Echelon(QQ)
+    ech.insert({0: 2, 1: 1})
+    assert ech.rows == [{0: F(1), 1: F(1, 2)}]
+    assert all(type(v) is Fraction for v in ech.rows[0].values())
+    residual, _ = ech.reduce({1: 3})
+    assert residual == {1: F(3)} and type(residual[1]) is Fraction
+    with pytest.raises(TypeError):
+        Echelon(QQ).insert({0: 0.5})
+    with pytest.raises(TypeError):
+        ech.reduce({1: 0.5})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)])
+@pytest.mark.parametrize("seed", range(12))
+def test_echelon_reduced_form_invariant(field, seed):
+    """After every insert of a cancellation-heavy stream: each stored row has
+    a 1 at its pivot and a 0 at every other pivot, its combination rebuilds
+    it, and every row holding a non-pivot column is listed under it."""
+    rng = random.Random(seed)
+    cols = rng.randint(2, 9)
+    gens = [{c: field.coerce(rng.choice((-1, 1, 2)))
+             for c in rng.sample(range(cols), rng.randint(1, cols))}
+            for _ in range(rng.randint(1, 14))]
+    ech = Echelon(field, track=True)
+    for gen in gens:
+        ech.insert(gen)
+        for pivot, ridx in ech.pivot_rows.items():
+            row = ech.rows[ridx]
+            assert row[pivot] == 1
+            assert all(c not in row for c in ech.pivot_rows if c != pivot)
+            rebuilt = {}
+            for g, c in ech.combos[ridx].items():
+                for j, v in gens[g].items():
+                    rebuilt[j] = rebuilt.get(j, field.zero) + field.coerce(c) * v
+            assert {j: v for j, v in rebuilt.items() if v} == {
+                j: field.coerce(v) for j, v in row.items()}
+            for c in row:
+                if c != pivot:
+                    assert ridx in ech.col_rows[c]
+        assert not set(ech.pivot_rows) & set(ech.col_rows)

@@ -8,7 +8,7 @@ from adjtorelli.errors import (
     HomogeneityError,
     NotSmoothError,
 )
-from adjtorelli.fields import PrimeField
+from adjtorelli.fields import QQ, PrimeField
 from adjtorelli.jacobian import (
     Hypersurface,
     deformation_class,
@@ -17,6 +17,7 @@ from adjtorelli.jacobian import (
     is_smooth,
     jacobian_ring_dim,
     macaulay_pairing_check,
+    pairing_is_perfect,
     pairing_matrix,
     reduce_mod,
 )
@@ -220,8 +221,21 @@ def test_pairing_middle_degree_full_rank(fermat_quartic):
     h = fermat_quartic
     assert macaulay_pairing_check(h, 4)
     m = pairing_matrix(h, 4)
-    assert (m.rows, m.cols) == (19, 19)
+    assert (len(m), len(m[0])) == (19, 19)
     assert rref(m)[2] == 19
+
+
+@pytest.mark.parametrize("rows, perfect", [
+    ([], True),
+    ([[1]], True),
+    ([[1, 0], [0, 1]], True),
+    ([[1, 0]], False),
+    ([[1], [0]], False),
+    ([[1, 0, 0], [0, 1, 0]], False),
+    ([[1, 2], [2, 4]], False),
+])
+def test_pairing_is_perfect_needs_square_full_rank(rows, perfect):
+    assert pairing_is_perfect(rows, QQ) is perfect
 
 
 @pytest.mark.parametrize("a", range(9))
