@@ -20,14 +20,29 @@ Over GF(p) an Echelon's rows and combinations are raw ints in [0, p), as
 in modular elimination generally; over the rationals they are Fractions.
 Values pass through field.coerce at insert and reduce, so callers hand in
 and get back field elements.
+
+Over the rationals solve_in_span first decides modulo the word-size primes
+SPAN_PRIMES.  When every generator raises the rank mod p the generators are
+independent over Q too, so the solution is unique: a nonzero residual mod p
+proves the target is outside the span, and a zero one gives the solution mod
+p, which is CRT-combined across primes, rationally reconstructed (Wang 1981)
+and returned only once SpanCertificate.verify passes over Q.  Anything else
+falls back to the elimination over Q, so no answer or certificate changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import QQ
+from .fields import QQ, PrimeField
+
+# the eight largest primes below 2^31, tried in this order
+SPAN_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579,
+               2147483563, 2147483549, 2147483543, 2147483497)
+_SPAN_FIELDS = tuple(PrimeField(p) for p in SPAN_PRIMES)
 
 
 @dataclass(frozen=True)
@@ -45,7 +60,8 @@ class SpanCertificate:
             if not coeff:
                 continue
             for k, value in enumerate(gen):
-                residual[k] = residual[k] - coeff * value
+                if value:
+                    residual[k] = residual[k] - coeff * value
         return not any(residual)
 
 
@@ -210,11 +226,17 @@ def solve_in_span(
 
     Deterministic: generators are inserted in the given order into a reduced
     echelon with combination tracking, and the target is reduced against it.
+    Over Q the answer is first sought modulo SPAN_PRIMES; whatever it finds
+    is what that elimination would return.
     """
     dim = len(target)
     for g in generators:
         if len(g) != dim:
             raise ValueError("dimension mismatch between target and generators")
+    if not field.characteristic:
+        decided, cert = _solve_modular(target, generators)
+        if decided:
+            return cert
     ech = Echelon(field, track=True)
     for g in generators:
         ech.insert({i: v for i, v in enumerate(g) if v})
@@ -224,3 +246,46 @@ def solve_in_span(
     return SpanCertificate(
         tuple(combo.get(i, field.zero) for i in range(len(generators)))
     )
+
+
+def _solve_modular(target, generators) -> Tuple[bool, Optional[SpanCertificate]]:
+    """(True, answer) when the primes decide a span solve over Q, else
+    (False, None).  A prime dividing a denominator is skipped."""
+    goal = {i: v for i, v in enumerate(target) if v}
+    residues = [0] * len(generators)
+    modulus = 1
+    for field in _SPAN_FIELDS:
+        p = field.p
+        ech = Echelon(field, track=True)
+        try:
+            for g in generators:
+                if not ech.insert({i: v for i, v in enumerate(g) if v}):
+                    return False, None  # dependent mod p, maybe over Q too
+            residual, combo = ech.reduce(goal)
+        except ZeroDivisionError:
+            continue
+        if residual:
+            return True, None
+        inv = pow(modulus, -1, p)
+        for i, r in enumerate(residues):
+            c = combo[i].value if i in combo else 0
+            residues[i] = r + modulus * ((c - r) * inv % p)
+        modulus *= p
+        coefficients = tuple(_rational_reconstruct(r, modulus) for r in residues)
+        if None not in coefficients:
+            cert = SpanCertificate(coefficients)
+            if cert.verify(target, generators):
+                return True, cert
+    return False, None
+
+
+def _rational_reconstruct(u: int, m: int) -> Optional[Fraction]:
+    """The fraction a/b == u mod m with |a|, |b| <= sqrt(m/2), if any."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return Fraction(r1, s1)

@@ -290,15 +290,18 @@ def pairing_matrix(h: Hypersurface, a: int) -> List[Tuple]:
     socle_basis = socle_piece.quotient
     if len(socle_basis) != 1:
         raise NotSmoothError("socle is not one-dimensional")
-    socle_col = basis_index(h.nvars, sigma)[socle_basis[0]]
+    index = basis_index(h.nvars, sigma)
+    socle_col = index[socle_basis[0]]
+    coords = {}  # socle coordinate of each distinct product, reduced once
     rows = []
     for m1 in left:
         row = []
         for m2 in right:
             product = monomial_mul(m1, m2)
-            vec = {basis_index(h.nvars, sigma)[product]: h.field.one}
-            residual, _ = socle_piece.echelon.reduce(vec)
-            row.append(residual.get(socle_col, h.field.zero))
+            if product not in coords:
+                residual, _ = socle_piece.echelon.reduce({index[product]: h.field.one})
+                coords[product] = residual.get(socle_col, h.field.zero)
+            row.append(coords[product])
         rows.append(tuple(row))
     return rows
 

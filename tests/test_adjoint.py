@@ -23,6 +23,7 @@ from adjtorelli.errors import (
     HomogeneityError,
     HypothesisViolationError,
 )
+from adjtorelli.exactla import Echelon
 from adjtorelli.extforms import (
     ExtForm,
     basis_one_form,
@@ -321,6 +322,28 @@ def test_eta_pair_subsystems_span_coordinate_partials(fermat_quartic):
                 continue
             target = Polynomial.variable(4, k) * h.partials[j]
             assert solve_in_span(dense(target), generators) is not None
+
+
+def test_image_membership_over_q_eliminates_nothing_over_q(fermat_quartic, monkeypatch):
+    """The image span solve over Q is decided modulo primes: neither a yes
+    nor a no inserts into a rational echelon."""
+    h = fermat_quartic
+    bundle, _ = sample_bundle(h, seed=0, trial=0)
+    h.principal_piece(h.n + h.degree - 1)
+    rational_inserts = [0]
+    insert = Echelon.insert
+
+    def counting(self, vec):
+        rational_inserts[0] += not self.p
+        return insert(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", counting)
+    in_ideal = x(0) ** 3 * x(1) + 2 * x(2) ** 3 * x(3)
+    yes = image_membership(bundle, in_ideal)
+    no = image_membership(bundle, x(0) * x(1) * x(2) * x(3))
+    assert rational_inserts[0] == 0
+    assert yes is not None and yes.verify(bundle, in_ideal)
+    assert no is None
 
 
 # ----- sampling determinism ---------------------------------------------------------------

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjtorelli.exactla import (
+    SPAN_PRIMES,
     Echelon,
     SpanCertificate,
     rref,
@@ -279,3 +282,142 @@ def test_echelon_reduced_form_invariant(field, seed):
                 if c != pivot:
                     assert ridx in ech.col_rows[c]
         assert not set(ech.pivot_rows) & set(ech.col_rows)
+
+
+# ----- span solves over Q decided modulo primes ----------------------------
+
+P0, P1 = SPAN_PRIMES[:2]
+
+
+@contextmanager
+def counted_inserts():
+    """Echelon inserts made inside the block, keyed by characteristic."""
+    counts = Counter()
+    insert = Echelon.insert
+
+    def counting(self, vec):
+        counts[self.p] += 1
+        return insert(self, vec)
+
+    Echelon.insert = counting
+    try:
+        yield counts
+    finally:
+        Echelon.insert = insert
+
+
+def exact_solve(target, gens):
+    """The answer of a tracked elimination over Q: coefficients or None."""
+    ech = Echelon(QQ, track=True)
+    for g in gens:
+        ech.insert({j: v for j, v in enumerate(g) if v})
+    residual, combo = ech.reduce({j: v for j, v in enumerate(target) if v})
+    if residual:
+        return None
+    return tuple(combo.get(i, F(0)) for i in range(len(gens)))
+
+
+def solved(target, gens):
+    """solve_in_span's answer as exact_solve spells it, plus the inserts."""
+    with counted_inserts() as counts:
+        cert = solve_in_span(target, gens)
+    if cert is None:
+        return None, counts
+    assert all(type(c) is Fraction for c in cert.coefficients)
+    assert cert.verify(target, gens)
+    return cert.coefficients, counts
+
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+entries = st.one_of(small, st.sampled_from([F(1, P0), F(-7, 3 * P0), F(P0, 2)]))
+large = st.builds(F, st.integers(-2**90, 2**90), st.integers(1, 2**40))
+
+
+@st.composite
+def q_systems(draw):
+    dim = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(entries, min_size=dim, max_size=dim)
+    gens = draw(st.lists(row, max_size=dim))
+    kind = draw(st.sampled_from(["as drawn", "repeat", "combination", "zero row"]))
+    if kind == "zero row":
+        gens.insert(draw(st.integers(0, len(gens))), [F(0)] * dim)
+    elif gens and kind == "repeat":
+        gens.append(list(draw(st.sampled_from(gens))))
+    elif gens and kind == "combination":
+        a, b = draw(small), draw(small)
+        gens.append([a * u + b * v for u, v in zip(gens[0], gens[-1])])
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.one_of(small, large), min_size=len(gens),
+                               max_size=len(gens)))
+        target = [sum((c * g[k] for c, g in zip(coeffs, gens)), F(0)) for k in range(dim)]
+    else:
+        target = draw(row)
+    return target, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_systems())
+def test_span_solve_over_q_matches_exact_elimination(system):
+    """Whatever the primes decide is what elimination over Q returns, and
+    dependent generators always reach that elimination."""
+    target, gens = system
+    expected = exact_solve(target, gens)
+    answer, counts = solved(target, gens)
+    assert answer == expected
+    if gens and rref(gens)[2] < len(gens):
+        assert counts[0] == len(gens)
+
+
+def test_span_solve_independent_generators_never_eliminate_over_q():
+    gens = [[F(1), F(2), F(0), F(5, 3)], [F(0), F(1), F(3), F(-1)],
+            [F(2), F(0), F(1, 7), F(1)]]
+    inside = [F(3), F(3), F(22, 7), F(5, 3)]
+    answer, counts = solved(inside, gens)
+    assert answer == exact_solve(inside, gens) == (F(1), F(1), F(1))
+    assert set(counts) == {P0}
+    answer, counts = solved([F(1), F(0), F(0), F(0)], gens)
+    assert answer is None and exact_solve([F(1), F(0), F(0), F(0)], gens) is None
+    assert set(counts) == {P0}
+
+
+def test_span_solve_skips_a_prime_dividing_a_denominator():
+    gens = [[F(1), F(1, P0)], [F(0), F(1)]]
+    target = [F(2), F(3)]
+    answer, counts = solved(target, gens)
+    assert answer == exact_solve(target, gens)
+    assert counts[P1] == len(gens) and not counts[0]
+
+
+def test_span_solve_combines_primes_for_large_coefficients():
+    """Coefficients past one prime's reconstruction bound need CRT."""
+    gens = [[F(1), F(2), F(3)], [F(0), F(1), F(-1)]]
+    coeffs = (F(2**70 + 1, 3**30), F(-(5**40), 7))
+    target = [sum((c * g[k] for c, g in zip(coeffs, gens)), F(0)) for k in range(3)]
+    answer, counts = solved(target, gens)
+    assert answer == exact_solve(target, gens) == coeffs
+    assert len([p for p in SPAN_PRIMES if counts[p]]) > 1 and not counts[0]
+
+
+def test_span_solve_unlucky_prime_still_gives_exact_answer():
+    # independent over Q, dependent mod the first prime: eliminated over Q
+    gens = [[F(1), F(0)], [F(1), F(P0)]]
+    target = [F(2), F(P0)]
+    answer, counts = solved(target, gens)
+    assert answer == exact_solve(target, gens) == (F(1), F(1))
+    assert counts[0] == len(gens)
+    # outside the span over Q, but its residual vanishes mod the first prime
+    gens = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
+    target = [F(0), F(0), F(P0)]
+    answer, counts = solved(target, gens)
+    assert answer is None and exact_solve(target, gens) is None
+    assert counts[P0] and counts[P1] and not counts[0]
+
+
+def test_verify_skips_zero_generator_entries():
+    class Loud(Fraction):
+        def __rmul__(self, other):
+            raise AssertionError("multiplied a zero entry")
+
+    gens = [[F(1), Loud(0)], [Loud(0), F(1)]]
+    assert SpanCertificate((F(2), F(3))).verify([F(2), F(3)], gens)
+    assert not SpanCertificate((F(2), F(3))).verify([F(2), F(4)], gens)

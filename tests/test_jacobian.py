@@ -21,8 +21,8 @@ from adjtorelli.jacobian import (
     pairing_matrix,
     reduce_mod,
 )
-from adjtorelli.exactla import rref
-from adjtorelli.polyring import Polynomial, monomial_basis
+from adjtorelli.exactla import Echelon, rref
+from adjtorelli.polyring import Polynomial, basis_index, monomial_basis, monomial_mul
 
 from conftest import fermat, random_homogeneous, x
 
@@ -223,6 +223,38 @@ def test_pairing_middle_degree_full_rank(fermat_quartic):
     m = pairing_matrix(h, 4)
     assert (len(m), len(m[0])) == (19, 19)
     assert rref(m)[2] == 19
+
+
+def test_pairing_matrix_reduces_each_product_once(fermat_quartic, monkeypatch):
+    """One reduce per distinct product monomial, and the entries of reducing
+    every product b_i * c_j on its own."""
+    h = fermat_quartic
+    sigma = h.socle_degree
+    piece = h.ideal_piece(sigma)
+    index = basis_index(h.nvars, sigma)
+    socle_col = index[piece.quotient[0]]
+    expected, distinct = {}, {}
+    for a in range(sigma + 1):
+        left, right = h.quotient_basis(a), h.quotient_basis(sigma - a)
+        expected[a] = [
+            tuple(piece.echelon.reduce({index[monomial_mul(m1, m2)]: QQ.one})[0]
+                  .get(socle_col, QQ.zero) for m2 in right)
+            for m1 in left
+        ]
+        distinct[a] = len({monomial_mul(m1, m2) for m1 in left for m2 in right})
+    reduces = [0]
+    reduce = Echelon.reduce
+
+    def counting(self, vec):
+        reduces[0] += 1
+        return reduce(self, vec)
+
+    monkeypatch.setattr(Echelon, "reduce", counting)
+    for a in range(sigma + 1):
+        reduces[0] = 0
+        assert pairing_matrix(h, a) == expected[a]
+        assert reduces[0] == distinct[a]
+    assert distinct[4] == 85 and sum(distinct.values()) == 381
 
 
 @pytest.mark.parametrize("rows, perfect", [
