@@ -14,6 +14,10 @@ we compute:
   polynomials times degree-2 multipliers, modulo F, with exact multiplier
   certificates.
 
+Reducing modulo F is division by F (polyring.poly_divmod): {F} is a
+Groebner basis of (F), so the remainder is the unique representative, and
+the quotient is the F-multiple an image certificate records.
+
 The subsystem polynomials always land in the Jacobian ideal, and the wedge
 of the i-th partial wedge with dF reproduces epsilon * omega_i times the
 fundamental form modulo F for one global sign epsilon = (-1)^(n+1);
@@ -54,6 +58,7 @@ from .polyring import (
     basis_index,
     gcd_many,
     monomial_basis,
+    poly_divmod,
     slot_polynomials,
 )
 
@@ -228,9 +233,8 @@ def image_membership(bundle: AdjointBundle, R: Polynomial) -> Optional[ImageCert
     h._check_deformation(R)
     n, nvars, field = h.n, h.nvars, h.field
     adjoint = bundle.top_poly * R
-    # a multiple of F is in the image with zero multipliers; its quotient by
-    # F is unique, so the principal piece's certificate is that quotient
-    residual, (principal,) = h.principal_piece(n + h.degree - 1).reduce(adjoint)
+    # a multiple of F is in the image with zero multipliers and its quotient
+    principal, residual = poly_divmod(adjoint, h.poly)
     if residual.is_zero():
         zeros = tuple(Polynomial.zero(nvars, field) for _ in range(n))
         return ImageCertificate(zeros, principal)

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .exactla import solve_in_span
 from .fields import QQ
-from .polyring import Polynomial, basis_index, monomial_basis, slot_polynomials
+from .polyring import Polynomial, basis_index, monomial_basis, poly_div_exact, slot_polynomials
 
 
 def _merge_indices(left: Tuple[int, ...], right: Tuple[int, ...]):
@@ -306,7 +306,7 @@ def divide_by_fundamental(w: ExtForm) -> Polynomial:
         coeff = w.terms.get(everything[:i] + everything[i + 1:])
         if coeff is None:
             continue
-        divided = coeff.divide_by_variable(i)
+        divided = poly_div_exact(coeff, Polynomial.variable(w.nvars, i, w.field))
         if divided is None:
             raise NonDivisibleError(
                 f"coefficient omitting index {i} is not divisible by x{i}"
@@ -338,8 +338,11 @@ def syzygy_decompose(w: ExtForm) -> Tuple[Polynomial, ...]:
     """Polynomials A_0..A_n with w == sum_j A_j * syzygy_form(j).
 
     Solved as one exact linear system over the monomial coefficient space.
-    Solutions are unique only up to the gauge (x_0 g, ..., x_n g), and
-    whichever representative the deterministic solver produces is returned.
+    By Koszul exactness the only relations among the generators
+    m * syzygy_form(j) are the gauge (x_0 g, ..., x_n g), so leaving out the
+    multiples of syzygy_form(n) by monomials holding x_n keeps the span and
+    makes the generators independent: the solution, the one with no x_n in
+    A_n, is unique.
     """
     nvars = w.nvars
     n = nvars - 1
@@ -361,6 +364,8 @@ def syzygy_decompose(w: ExtForm) -> Tuple[Polynomial, ...]:
     for j in range(nvars):
         base = syzygy_form(nvars, j, w.field)
         for mono in monomial_basis(nvars, degree - 1):
+            if j == n and mono[n]:
+                continue  # fixes the gauge: A_n has no x_n term
             generators.append(
                 _flatten(base.poly_mul(Polynomial.from_monomial(nvars, mono, 1, w.field)),
                          subsets, degree)

@@ -3,11 +3,13 @@ certificates, quotient-ring dimensions, smoothness detection, and the
 socle/pairing checks coming from Macaulay duality.
 
 The ideal is generated in the single degree d-1 by the partial derivatives,
-so membership in any graded piece is a finite span problem over the field;
-no Groebner machinery is involved.  Each graded piece is an incremental
-echelon over the monomial basis, built lazily and cached on the hypersurface.
-Cache fills are idempotent (the reduced echelon of a piece is unique), so
-concurrent readers can only ever observe the one canonical value.
+so membership in any graded piece is a finite span problem over the field.
+Each graded piece of the Jacobian ideal is an incremental echelon over the
+monomial basis, built lazily and cached on the hypersurface.  Cache fills
+are idempotent (the reduced echelon of a piece is unique), so concurrent
+readers can only ever observe the one canonical value.  Reduction modulo F
+itself needs no linear algebra: {F} is a Groebner basis of (F), so
+reduce_mod is the remainder of polynomial division by F.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .polyring import (
     basis_index,
     monomial_basis,
     monomial_mul,
+    poly_divmod,
     slot_polynomials,
 )
 
@@ -39,19 +42,18 @@ class GradedPiece:
     """Echelon of labelled generators inside S_k plus bookkeeping.
 
     Generator g carries the label labels[g] = (slot, monomial): it is that
-    monomial times the slot's polynomial, so a reduction's generator
-    combination decodes into one multiplier polynomial per slot.
+    monomial times the partial derivative dF/dx_slot, so a reduction's
+    generator combination decodes into one multiplier per partial.
     """
 
     echelon: Echelon
     labels: Tuple
     quotient: Tuple[Monomial, ...]
     k: int
-    slots: int
 
     def reduce(self, G: Polynomial) -> Tuple[Polynomial, Tuple[Polynomial, ...]]:
-        """Residual of G in S_k modulo the span, and one multiplier per slot:
-        G == residual + sum_slot multiplier[slot] * polynomial[slot].
+        """Residual of G in S_k modulo the span, and one multiplier per partial:
+        G == residual + sum_j multiplier[j] * dF/dx_j.
 
         The multipliers are meaningful only on a tracking echelon.
         """
@@ -59,7 +61,7 @@ class GradedPiece:
         basis = monomial_basis(G.nvars, self.k)
         residual = Polynomial(G.nvars, {basis[i]: c for i, c in residual.items()}, G.field)
         labelled = ((self.labels[g], c) for g, c in combo.items())
-        return residual, slot_polynomials(labelled, self.slots, G.nvars, G.field)
+        return residual, slot_polynomials(labelled, G.nvars, G.nvars, G.field)
 
 
 def _poly_vector(poly: Polynomial, k: int) -> Dict[int, object]:
@@ -67,7 +69,7 @@ def _poly_vector(poly: Polynomial, k: int) -> Dict[int, object]:
     return {index[m]: c for m, c in poly.terms.items()}
 
 
-def _graded_piece(generators: Iterable, slots: int, nvars: int, k: int, field,
+def _graded_piece(generators: Iterable, nvars: int, k: int, field,
                   track: bool = True) -> GradedPiece:
     """Echelon of the (label, polynomial) generators, inserted in the order given."""
     echelon = Echelon(field, track=track)
@@ -77,7 +79,7 @@ def _graded_piece(generators: Iterable, slots: int, nvars: int, k: int, field,
         labels.append(label)
     basis = monomial_basis(nvars, k)
     quotient = tuple(basis[i] for i in echelon.nonpivot_columns(len(basis)))
-    return GradedPiece(echelon, tuple(labels), quotient, k, slots)
+    return GradedPiece(echelon, tuple(labels), quotient, k)
 
 
 def _multiples(polys, nvars: int, shift: int):
@@ -103,7 +105,7 @@ def is_smooth(F: Polynomial):
     partials = [F.partial(i) for i in range(nvars)]
     k = nvars * (d - 2) + 1
     generators = _multiples(partials, nvars, k - (d - 1))
-    piece = _graded_piece(generators, nvars, nvars, k, F.field, track=False)
+    piece = _graded_piece(generators, nvars, k, F.field, track=False)
     witness = comb(nvars - 1 + k, k) - piece.echelon.rank
     return witness == 0, witness
 
@@ -156,7 +158,6 @@ class Hypersurface:
                 f"survive in degree {self.socle_degree + 1}"
             )
         self._ideal: Dict[int, GradedPiece] = {}
-        self._principal: Dict[int, GradedPiece] = {}
 
     def __repr__(self):
         return f"Hypersurface(n={self.n}, d={self.degree}, F={self.poly})"
@@ -168,17 +169,8 @@ class Hypersurface:
         piece = self._ideal.get(k)
         if piece is None:
             generators = _multiples(self.partials, self.nvars, k - (self.degree - 1))
-            piece = _graded_piece(generators, self.nvars, self.nvars, k, self.field)
+            piece = _graded_piece(generators, self.nvars, k, self.field)
             self._ideal[k] = piece
-        return piece
-
-    def principal_piece(self, k: int) -> GradedPiece:
-        """Echelon of span{m * F : deg m = k - d} inside S_k."""
-        piece = self._principal.get(k)
-        if piece is None:
-            generators = _multiples((self.poly,), self.nvars, k - self.degree)
-            piece = _graded_piece(generators, 1, self.nvars, k, self.field)
-            self._principal[k] = piece
         return piece
 
     def quotient_basis(self, k: int) -> Tuple[Monomial, ...]:
@@ -241,19 +233,14 @@ def jacobian_ring_dim(h: Hypersurface, k: int) -> int:
 
 
 def reduce_mod(h: Hypersurface, G: Polynomial) -> Polynomial:
-    """Canonical representative of G modulo F * S_(k-d).
+    """Canonical representative of G modulo F: the remainder of dividing G by F.
 
-    The representative is supported on the non-pivot monomials of the
-    reduced echelon of the principal ideal's graded piece, so the map is
+    {F} alone is a Groebner basis of (F), so the remainder is the unique
+    representative with no term divisible by LM(F); the map is linear,
     idempotent and deterministic.
     """
     h._check_input(G)
-    if G.is_zero():
-        return G
-    k = G.homogeneous_degree()
-    if k < h.degree:
-        return G
-    return h.principal_piece(k).reduce(G)[0]
+    return poly_divmod(G, h.poly)[1]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ polynomial maps monomials to nonzero field elements; the zero polynomial has
 an empty term map, so equal polynomials always have identical term maps.
 The canonical term order is graded lexicographic with x0 > x1 > ... > xN.
 
-The gcd of homogeneous polynomials solves one linear relation on the
-package's one elimination primitive, exactla.Echelon.  Graded pieces and
-powers stay inside the size budgets MAX_PIECE_DIM and MAX_COEFF_BITS.
+poly_divmod is the one division loop.  The gcd of homogeneous polynomials
+solves one linear relation on the package's one elimination primitive,
+exactla.Echelon.  Graded pieces and powers stay inside the size budgets
+MAX_PIECE_DIM and MAX_COEFF_BITS.
 
 Everything here is immutable after construction and all operations return
 fresh values, so polynomials can be shared freely between threads.
@@ -42,16 +43,6 @@ MAX_COEFF_BITS = 14_000
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """Whether a divides b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    """Quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def grlex_key(mono: Monomial):
@@ -297,15 +288,6 @@ class Polynomial:
                 result[lowered] = result.get(lowered, self.field.zero) + c
         return Polynomial(self.nvars, result, self.field)
 
-    def divide_by_variable(self, i: int) -> Optional["Polynomial"]:
-        """Exact quotient by x_i, or None if some term lacks the variable."""
-        result = {}
-        for mono, coeff in self.terms.items():
-            if mono[i] == 0:
-                return None
-            result[mono[:i] + (mono[i] - 1,) + mono[i + 1:]] = coeff
-        return Polynomial(self.nvars, result, self.field)
-
     # ----- comparison and display ----------------------------------------
 
     def __eq__(self, other):
@@ -388,26 +370,41 @@ def euler_pair(f: Polynomial) -> Polynomial:
     return total
 
 
-def poly_div_exact(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
-    """Exact quotient f / g, or None when g does not divide f."""
+def poly_divmod(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
+    """(q, r) with f == q * g + r and no term of r divisible by LM(g).
+
+    The multiples of LM(g) are visited largest first in graded lex order: by
+    degree, then down monomial_basis, whose size budget bounds the work.
+    Each term found there is cancelled, which only adds smaller terms; what
+    is left is r.  {g} is a Groebner basis of (g), so r is the unique such
+    representative of f modulo (g), and q is unique too.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return Polynomial.zero(f.nvars, f.field)
     f._check_compatible(g)
+    lead = g.leading_monomial()
+    inv = g.field.one / g.terms[lead]
+    tail = [(m, c) for m, c in g.terms.items() if m != lead]
+    shift, zero = sum(lead), f.field.zero
+    work = dict(f.terms)  # cancelled terms stay as zeros until the end
     quotient = {}
-    remainder = f
-    g_lead = g.leading_monomial()
-    g_lead_coeff = g.terms[g_lead]
-    while not remainder.is_zero():
-        lead = remainder.leading_monomial()
-        if not monomial_divides(g_lead, lead):
-            return None
-        q_mono = monomial_div(lead, g_lead)
-        q_coeff = remainder.terms[lead] / g_lead_coeff
-        quotient[q_mono] = q_coeff
-        remainder = remainder - g.mul_monomial(q_mono, q_coeff)
-    return Polynomial(f.nvars, quotient, f.field)
+    for degree in range(max(map(sum, work), default=-1), shift - 1, -1):
+        if not any(sum(m) == degree for m in work):
+            continue
+        for q_mono in monomial_basis(f.nvars, degree - shift):
+            coeff = work.pop(monomial_mul(q_mono, lead), None)
+            if coeff:
+                quotient[q_mono] = q = coeff * inv
+                for m, c in tail:
+                    target = monomial_mul(m, q_mono)
+                    work[target] = work.get(target, zero) - q * c
+    return Polynomial(f.nvars, quotient, f.field), Polynomial(f.nvars, work, f.field)
+
+
+def poly_div_exact(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
+    """Exact quotient f / g, or None when g does not divide f."""
+    quotient, remainder = poly_divmod(f, g)
+    return None if remainder else quotient
 
 
 def _monic(p: Polynomial) -> Polynomial:
@@ -417,8 +414,8 @@ def _monic(p: Polynomial) -> Polynomial:
     return p.scale(p.field.one / lead)
 
 
-def _evaluate_on_line(p: Polynomial, base, direction):
-    """Dense t-coefficients of p(base + t * direction); empty list means zero."""
+def _evaluate_on_line(p: Polynomial, base, direction) -> Polynomial:
+    """p(base + t * direction) as a polynomial in the one variable t."""
     field = p.field
     out = [field.zero]
     for mono, coeff in p.terms.items():
@@ -436,34 +433,14 @@ def _evaluate_on_line(p: Polynomial, base, direction):
         for k, c in enumerate(factor):
             if c:
                 out[k] = out[k] + coeff * c
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return Polynomial(1, {(k,): c for k, c in enumerate(out)}, field)
 
 
-def _uni_mod(a, b):
-    """Remainder of dense univariate coefficient lists; b nonzero."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while a and len(a) - 1 >= db:
-        if not a[-1]:
-            a.pop()
-            continue
-        q = a[-1] / lead
-        offset = len(a) - 1 - db
-        for k in range(db):
-            a[offset + k] = a[offset + k] - q * b[k]
-        a.pop()
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _uni_gcd_degree(a, b) -> int:
+def _uni_gcd_degree(a: Polynomial, b: Polynomial) -> int:
+    """Degree of the gcd of two univariate polynomials, by Euclid's algorithm."""
     while b:
-        a, b = b, _uni_mod(a, b)
-    return len(a) - 1
+        a, b = b, poly_divmod(a, b)[1]
+    return a.total_degree()
 
 
 def multivariate_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -495,7 +472,7 @@ def multivariate_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         direction = [field.coerce(rng.randint(-9, 9)) for _ in range(a.nvars)]
         ua = _evaluate_on_line(a, base, direction)
         ub = _evaluate_on_line(b, base, direction)
-        if len(ua) - 1 == da and len(ub) - 1 == db:
+        if ua.total_degree() == da and ub.total_degree() == db:
             bound = min(bound, _uni_gcd_degree(ua, ub))
     for k in range(bound, 0, -1):
         echelon = Echelon(field, track=True)

@@ -34,7 +34,7 @@ from adjtorelli.fields import QQ, PrimeField
 from adjtorelli.jacobian import Hypersurface, graded_membership, reduce_mod
 from adjtorelli.polyring import Polynomial, monomial_basis, poly_div_exact
 
-from conftest import fermat, x
+from conftest import fermat, random_homogeneous, x
 
 
 def eta_system(*pairs, nvars=4):
@@ -329,7 +329,6 @@ def test_image_membership_over_q_eliminates_nothing_over_q(fermat_quartic, monke
     nor a no inserts into a rational echelon."""
     h = fermat_quartic
     bundle, _ = sample_bundle(h, seed=0, trial=0)
-    h.principal_piece(h.n + h.degree - 1)
     rational_inserts = [0]
     insert = Echelon.insert
 
@@ -344,6 +343,34 @@ def test_image_membership_over_q_eliminates_nothing_over_q(fermat_quartic, monke
     assert rational_inserts[0] == 0
     assert yes is not None and yes.verify(bundle, in_ideal)
     assert no is None
+
+
+def test_reduction_modulo_f_uses_no_echelon(monkeypatch):
+    """reduce_mod and the principal step of image_membership divide by F:
+    neither inserts into nor reduces on any Echelon."""
+    h = Hypersurface(fermat(4, 4))  # fresh, so nothing is cached on it
+    bundle, _ = sample_bundle(h, seed=0, trial=0)
+    calls = [0]
+    insert, reduce = Echelon.insert, Echelon.reduce
+
+    def counting_insert(self, vec):
+        calls[0] += 1
+        return insert(self, vec)
+
+    def counting_reduce(self, vec):
+        calls[0] += 1
+        return reduce(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", counting_insert)
+    monkeypatch.setattr(Echelon, "reduce", counting_reduce)
+    rng = random.Random(3)
+    for k in (4, 5, 6):
+        G = random_homogeneous(4, k, rng)
+        assert poly_div_exact(G - reduce_mod(h, G), h.poly) is not None
+    multiple = image_membership(bundle, h.poly)
+    assert calls[0] == 0
+    assert multiple is not None and multiple.verify(bundle, h.poly)
+    assert multiple.principal == bundle.top_poly
 
 
 # ----- sampling determinism ---------------------------------------------------------------

@@ -4,12 +4,14 @@ from itertools import combinations
 
 import pytest
 
+from adjtorelli.adjoint import sample_bundle
 from adjtorelli.errors import (
     GradeError,
     NoDecompositionError,
     NonEulerNullError,
     RankOneConditionError,
 )
+from adjtorelli.exactla import Echelon
 from adjtorelli.extforms import (
     ExtForm,
     basis_one_form,
@@ -21,7 +23,7 @@ from adjtorelli.extforms import (
     syzygy_form,
     wedge,
 )
-from adjtorelli.polyring import Polynomial, monomial_basis
+from adjtorelli.polyring import Polynomial, monomial_basis, poly_div_exact
 
 from conftest import random_homogeneous, x
 
@@ -258,10 +260,35 @@ def test_decompose_gauge_kernel_is_coordinate_multiples():
         chunk = vec[j * len(lower):(j + 1) * len(lower)]
         parts.append(Polynomial(nvars, dict(zip(lower, chunk))))
     # strip the common scalar: parts must be (x0, x1, x2, x3) * g
-    g = parts[0].divide_by_variable(0)
+    g = poly_div_exact(parts[0], Polynomial.variable(nvars, 0))
     assert g is not None
     for j in range(nvars):
         assert parts[j] == Polynomial.variable(nvars, j) * g
+
+
+def test_decompose_over_q_fixes_the_gauge_and_eliminates_nothing_over_q(
+        fermat_quartic, monkeypatch):
+    """Leaving out the x_n-multiples of syzygy_form(n) makes the generators
+    independent, so each solve over Q is decided modulo the first prime and
+    the returned A_n holds no x_n."""
+    bundle, _ = sample_bundle(fermat_quartic, seed=0, trial=0)
+    rational_inserts = [0]
+    insert = Echelon.insert
+
+    def counting(self, vec):
+        rational_inserts[0] += not self.p
+        return insert(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", counting)
+    n = fermat_quartic.n
+    for w in bundle.omit_forms:
+        parts = syzygy_decompose(w)
+        assert all(mono[n] == 0 for mono in parts[n].terms)
+        total = ExtForm.zero(n + 1, n - 1)
+        for j, part in enumerate(parts):
+            total = total + syzygy_form(n + 1, j).poly_mul(part)
+        assert total == w
+    assert rational_inserts[0] == 0
 
 
 def test_decompose_matches_pairwise_coefficient_identity():

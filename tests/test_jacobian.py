@@ -202,6 +202,33 @@ def test_reduce_mod_idempotent(fermat_quartic):
             assert poly_div_exact(diff, h.poly) is not None
 
 
+def _principal_residual(h, G):
+    """Residual of G on the reduced echelon of F * S_(k-d): reduction modulo F
+    as linear algebra, the reference reduce_mod must agree with."""
+    k = G.homogeneous_degree()
+    index, basis = basis_index(h.nvars, k), monomial_basis(h.nvars, k)
+    echelon = Echelon(h.field)
+    for mono in monomial_basis(h.nvars, k - h.degree):
+        echelon.insert({index[m]: c for m, c in h.poly.mul_monomial(mono).terms.items()})
+    residual, _ = echelon.reduce({index[m]: c for m, c in G.terms.items()})
+    return Polynomial(h.nvars, {basis[i]: c for i, c in residual.items()}, h.field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(32003)], ids=str)
+def test_reduce_mod_matches_principal_echelon_residual(field):
+    rng = random.Random(31)
+    smooth = 0
+    while smooth < 3:
+        try:
+            h = Hypersurface(random_homogeneous(3, 4, rng, field))
+        except NotSmoothError:
+            continue
+        smooth += 1
+        for k in (4, 5, 6, 7):
+            G = random_homogeneous(3, k, rng, field)
+            assert reduce_mod(h, G) == _principal_residual(h, G)
+
+
 def test_deformation_class_certificate(fermat_quartic):
     h = fermat_quartic
     R = h.poly * 3 + x(0) * x(1) * x(2) * x(3)

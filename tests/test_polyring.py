@@ -23,6 +23,7 @@ from adjtorelli.polyring import (
     monomial_basis,
     multivariate_gcd,
     poly_div_exact,
+    poly_divmod,
 )
 
 from conftest import fermat, random_homogeneous, x
@@ -211,6 +212,42 @@ def test_poly_div_exact_roundtrip():
 
 def test_poly_div_exact_detects_nondivisor():
     assert poly_div_exact(x(0) ** 2 + x(1) ** 2, x(0)) is None
+
+
+def field_poly(field, nvars=3, homogeneous=False):
+    """Hypothesis strategy for sparse polynomials over field with small integer
+    coefficients, of one degree in 0..4 or of mixed degrees up to 4."""
+    def build(terms):
+        return Polynomial(nvars, {m: field.coerce(c) for m, c in terms.items()}, field)
+
+    def terms(monos):
+        return st.dictionaries(st.sampled_from(monos), st.integers(-9, 9), max_size=8)
+
+    if homogeneous:
+        return st.integers(0, 4).flatmap(
+            lambda k: terms(monomial_basis(nvars, k)).map(build))
+    monos = [m for k in range(5) for m in monomial_basis(nvars, k)]
+    return terms(monos).map(build)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(32003)], ids=str)
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "mixed"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_poly_divmod_identity_and_remainder_support(field, homogeneous, data):
+    f = data.draw(field_poly(field, homogeneous=homogeneous))
+    g = data.draw(field_poly(field, homogeneous=homogeneous))
+    assume(not g.is_zero())
+    q, r = poly_divmod(f, g)
+    assert q * g + r == f
+    lead = g.leading_monomial()
+    assert not any(all(a <= b for a, b in zip(lead, m)) for m in r.terms)
+    assert poly_divmod(f + q * g, g)[1] == r  # the remainder is unique
+
+
+def test_poly_divmod_rejects_zero_divisor():
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(x(0), Polynomial.zero(4))
 
 
 def test_gcd_random_pairs_against_sympy():
