@@ -1,13 +1,15 @@
 """The adjoint-form pipeline on a smooth hypersurface.
 
 A run starts from n independent Euler-null one-forms with linear
-coefficients (a W-system, expressed over the basis_one_form basis).  From it
-we compute:
+coefficients (a W-system).  Each form has a coordinate row over the
+basis_one_form basis and is built as one Euler contraction iota_E(alpha) of
+the constant 2-form alpha with that row.  From it we compute:
 
-* the top wedge of all n forms and its base polynomial P of degree n-1
-  (the top wedge equals P times the fundamental form);
-* the n partial wedges omitting one form, their decompositions over the
-  syzygy forms, and the degree n+d-3 subsystem polynomials
+* the n partial wedges omitting one form, then the top wedge of all n forms
+  as the last partial wedge times the last form, and its base polynomial P
+  of degree n-1 (the top wedge equals P times the fundamental form);
+* the partial wedges' decompositions over the syzygy forms, and the degree
+  n+d-3 subsystem polynomials
   omega_i = sum_j A[i][j] * dF/dx_j, reduced modulo F;
 * for a degree-d polynomial R, the canonical adjoint P*R and the image
   membership test deciding whether P*R lies in the span of the subsystem
@@ -43,8 +45,8 @@ from .errors import (
 from .exactla import rref, solve_in_span
 from .extforms import (
     ExtForm,
-    basis_one_form,
     divide_by_fundamental,
+    euler_contract,
     fundamental_form,
     syzygy_decompose,
     wedge,
@@ -111,14 +113,13 @@ def wsystem_from_coords(nvars: int, rows, field=QQ, provenance: str = "explicit"
     _, _, matrix_rank = rref(coords, field)
     if matrix_rank != len(coords):
         raise DependentSystemError("one-forms are linearly dependent")
-    forms = []
-    for row in coords:
-        form = ExtForm.zero(nvars, 1, field)
-        for c, (i, j) in zip(row, pairs):
-            if c:
-                form = form + basis_one_form(nvars, i, j, field).scale(c)
-        forms.append(form)
-    return WSystem(tuple(forms), tuple(coords), provenance)
+    forms = tuple(
+        euler_contract(ExtForm(nvars, 2, {
+            pair: Polynomial.constant(nvars, c, field) for c, pair in zip(row, pairs)
+        }, field))
+        for row in coords
+    )
+    return WSystem(forms, tuple(coords), provenance)
 
 
 def sample_wsystem(nvars: int, rng: random.Random, field=QQ,
@@ -169,12 +170,13 @@ def build_bundle(h: Hypersurface, system: WSystem) -> AdjointBundle:
     if system.field != h.field:
         raise FieldMismatchError("system and hypersurface over different fields")
     forms = system.forms
-    top_form = wedge_all(forms)
-    top_poly = divide_by_fundamental(top_form)
     omit_forms = tuple(
         wedge_all([f for t, f in enumerate(forms) if t != i])
         for i in range(len(forms))
     )
+    # wedge_all is a left fold, so this is wedge_all(forms) without redoing it
+    top_form = wedge(omit_forms[-1], forms[-1])
+    top_poly = divide_by_fundamental(top_form)
     coeff_rows = tuple(syzygy_decompose(w) for w in omit_forms)
     subsystem = []
     for row in coeff_rows:

@@ -9,8 +9,8 @@ in the degree bookkeeping.  Under this convention the global twisted forms
 are exactly the forms annihilated by contraction with the Euler vector field
 E = sum_i x_i d/dx_i.
 
-Three families of named forms drive everything downstream, each the Euler
-contraction iota_E of one constant basis form:
+Four families of forms drive everything downstream, each the Euler
+contraction iota_E of a constant form:
 
 * fundamental_form(n+1) is sum_i (-1)^i x_i dx_0^...^dx_i-hat^...^dx_n,
   the Euler contraction of the coordinate volume form.  Every Euler-null
@@ -21,11 +21,19 @@ contraction iota_E of one constant basis form:
   and multiples of F.
 * basis_one_form(n+1, i, j) is x_i dx_j - x_j dx_i = iota_E(dx_i^dx_j), the
   standard basis of Euler-null one-forms with linear coefficients.
+* a W-form (adjoint.wsystem_from_coords) is iota_E(alpha) for the constant
+  2-form alpha = sum c_ij dx_i^dx_j of its coordinate row, which is
+  sum c_ij basis_one_form(i, j) built by one contraction.
+
+One product loop, _wedge_terms, multiplies {sorted multi-index: Polynomial}
+maps: wedge runs it on forms, and relift_expand on free-module vectors, whose
+basis vectors e_b take the place of dx_b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,6 +72,30 @@ def _merge_indices(left: Tuple[int, ...], right: Tuple[int, ...]):
     merged.extend(left[i:])
     merged.extend(right[j:])
     return tuple(merged), sign
+
+
+def _add_into(terms: dict, key: Tuple[int, ...], poly: Polynomial) -> None:
+    """terms[key] += poly, dropping the key when the sum is zero."""
+    acc = terms.get(key)
+    acc = poly if acc is None else acc + poly
+    if acc.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = acc
+
+
+def _wedge_terms(left: dict, right: dict) -> Dict[Tuple[int, ...], Polynomial]:
+    """Exterior product of {sorted multi-index: Polynomial} maps.
+
+    The one product loop: it wedges forms and free-module vectors alike.
+    """
+    result: Dict[Tuple[int, ...], Polynomial] = {}
+    for ia, pa in left.items():
+        for ib, pb in right.items():
+            merged, sign = _merge_indices(ia, ib)
+            if merged is not None:
+                _add_into(result, merged, pa * pb if sign > 0 else -(pa * pb))
+    return result
 
 
 class ExtForm:
@@ -135,12 +167,7 @@ class ExtForm:
             raise GradeError("cannot add forms of different grades")
         result = dict(self.terms)
         for idxs, poly in other.terms.items():
-            acc = result.get(idxs)
-            acc = poly if acc is None else acc + poly
-            if acc.is_zero():
-                result.pop(idxs, None)
-            else:
-                result[idxs] = acc
+            _add_into(result, idxs, poly)
         return ExtForm(self.nvars, self.grade, result, self.field)
 
     def __sub__(self, other):
@@ -204,30 +231,14 @@ def wedge(a: ExtForm, b: ExtForm) -> ExtForm:
         raise GradeError(
             f"wedge grade {grade} exceeds {a.nvars} available differentials"
         )
-    result: Dict[Tuple[int, ...], Polynomial] = {}
-    for ia, pa in a.terms.items():
-        for ib, pb in b.terms.items():
-            merged, sign = _merge_indices(ia, ib)
-            if merged is None:
-                continue
-            contrib = pa * pb if sign > 0 else -(pa * pb)
-            acc = result.get(merged)
-            acc = contrib if acc is None else acc + contrib
-            if acc.is_zero():
-                result.pop(merged, None)
-            else:
-                result[merged] = acc
-    return ExtForm(a.nvars, grade, result, a.field)
+    return ExtForm(a.nvars, grade, _wedge_terms(a.terms, b.terms), a.field)
 
 
 def wedge_all(forms: Sequence[ExtForm]) -> ExtForm:
     """Left-to-right wedge of a nonempty sequence."""
     if not forms:
         raise ValueError("empty wedge")
-    total = forms[0]
-    for f in forms[1:]:
-        total = wedge(total, f)
-    return total
+    return reduce(wedge, forms)
 
 
 def euler_contract(a: ExtForm) -> ExtForm:
@@ -245,14 +256,7 @@ def euler_contract(a: ExtForm) -> ExtForm:
             contrib = poly.mul_monomial(
                 tuple(1 if i == k else 0 for i in range(a.nvars))
             )
-            if pos % 2:
-                contrib = -contrib
-            acc = result.get(reduced)
-            acc = contrib if acc is None else acc + contrib
-            if acc.is_zero():
-                result.pop(reduced, None)
-            else:
-                result[reduced] = acc
+            _add_into(result, reduced, -contrib if pos % 2 else contrib)
     return ExtForm(a.nvars, a.grade - 1, result, a.field)
 
 
@@ -342,7 +346,8 @@ def syzygy_decompose(w: ExtForm) -> Tuple[Polynomial, ...]:
     m * syzygy_form(j) are the gauge (x_0 g, ..., x_n g), so leaving out the
     multiples of syzygy_form(n) by monomials holding x_n keeps the span and
     makes the generators independent: the solution, the one with no x_n in
-    A_n, is unique.
+    A_n, is unique.  The same exactness makes the span the Euler-null forms
+    (for coefficient degree >= 1), so a failed solve means w is not Euler-null.
     """
     nvars = w.nvars
     n = nvars - 1
@@ -350,8 +355,6 @@ def syzygy_decompose(w: ExtForm) -> Tuple[Polynomial, ...]:
         raise GradeError(f"expected grade {n - 1} on P^{n}, got {w.grade}")
     if w.is_zero():
         return tuple(Polynomial.zero(nvars, w.field) for _ in range(nvars))
-    if not euler_contract(w).is_zero():
-        raise NoDecompositionError("form is not Euler-null")
     degree = w.coefficient_degree()
     if degree < 1:
         raise NoDecompositionError(
@@ -373,7 +376,9 @@ def syzygy_decompose(w: ExtForm) -> Tuple[Polynomial, ...]:
             labels.append((j, mono))
     cert = solve_in_span(target, generators, w.field)
     if cert is None:
-        raise NoDecompositionError("form is outside the span of the syzygy forms")
+        raise NoDecompositionError(
+            "form is not Euler-null: it is outside the span of the syzygy forms"
+        )
     return slot_polynomials(zip(labels, cert.coefficients), nvars, nvars, w.field)
 
 
@@ -396,25 +401,11 @@ def _vector_add(u: Sequence[Polynomial], v: Sequence[Polynomial], sign: int):
 
 def _vector_wedge(vectors: Sequence[Sequence[Polynomial]], nvars: int, field):
     """Wedge of free-module vectors as {basis subset: Polynomial}."""
-    acc = {(): Polynomial.constant(nvars, 1, field)}
-    for vector in vectors:
-        new: Dict[Tuple[int, ...], Polynomial] = {}
-        for idxs, coeff in acc.items():
-            for b, poly in enumerate(vector):
-                key, sign = _merge_indices(idxs, (b,))
-                if poly.is_zero() or key is None:
-                    continue
-                contrib = coeff * poly if sign > 0 else -(coeff * poly)
-                acc2 = new.get(key)
-                acc2 = contrib if acc2 is None else acc2 + contrib
-                if acc2.is_zero():
-                    new.pop(key, None)
-                else:
-                    new[key] = acc2
-        acc = new
-        if not acc:
-            break
-    return acc
+    return reduce(
+        lambda acc, vector: _wedge_terms(acc, {(b,): p for b, p in enumerate(vector) if p}),
+        vectors,
+        {(): Polynomial.constant(nvars, 1, field)},
+    )
 
 
 def relift_expand(
@@ -439,9 +430,10 @@ def relift_expand(
     if len(offsets) != k or k < 2:
         raise ValueError("need matching non-trivial section and offset lists")
     rank = len(sections[0])
-    for v in list(sections) + list(offsets):
-        if len(v) != rank:
-            raise ValueError("module vectors of mixed lengths")
+    if any(len(v) != rank for v in (*sections, *offsets)):
+        raise ValueError("module vectors of mixed lengths")
+    if not rank:
+        raise ValueError("module vectors of rank 0 have no wedge to expand")
     sample = sections[0][0]
     nvars, field = sample.nvars, sample.field
     support = {
@@ -457,17 +449,12 @@ def relift_expand(
         for i, (s, o) in enumerate(zip(sections, offsets))
     ]
     lhs = _vector_wedge(lifted, nvars, field)
-    rhs = dict(_vector_wedge(sections, nvars, field))
+    rhs = _vector_wedge(sections, nvars, field)
     for i in range(k):
         omitted = [s for t, s in enumerate(sections) if t != i]
         omitted.append(offsets[i])
         for idxs, poly in _vector_wedge(omitted, nvars, field).items():
-            acc = rhs.get(idxs)
-            acc = -poly if acc is None else acc - poly
-            if acc.is_zero():
-                rhs.pop(idxs, None)
-            else:
-                rhs[idxs] = acc
+            _add_into(rhs, idxs, -poly)
     expansion_holds = lhs == rhs
     pattern_found = None
     for pattern in product((1, -1), repeat=k):

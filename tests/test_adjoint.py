@@ -59,18 +59,31 @@ def test_pair_row_is_the_directed_one_form():
     assert system.forms == tuple(-basis_one_form(4, 0, j) for j in (1, 2, 3))
 
 
+def summed_one_form(nvars, row, field):
+    """sum_k c_k * basis_one_form(pair_k): the W-form as a sum of basis forms."""
+    form = ExtForm.zero(nvars, 1, field)
+    for c, (i, j) in zip(row, eta_basis_pairs(nvars)):
+        form = form + basis_one_form(nvars, i, j, field).scale(c)
+    return form
+
+
 def test_coords_and_forms_build_the_same_system():
-    rows = [(1, 0, -2, 0, 3, 0), (0, 1, 1, 1, 0, 0), (0, 0, 0, 0, 1, -1)]
-    for field in (QQ, PrimeField(7)):
-        forms = []
-        for row in rows:
-            form = ExtForm.zero(4, 1, field)
-            for c, (i, j) in zip(row, eta_basis_pairs(4)):
-                form = form + basis_one_form(4, i, j, field).scale(c)
-            forms.append(form)
-        system = wsystem_from_coords(4, rows, field)
-        assert system.forms == tuple(forms)
-        assert system.coords == tuple(tuple(field.coerce(c) for c in row) for row in rows)
+    """Each W-form, one Euler contraction of its row's constant 2-form, is
+    the sum of scaled basis one-forms; checked on a fixed and random rows."""
+    rng = random.Random(11)
+    cases = [(4, [(1, 0, -2, 0, 3, 0), (0, 1, 1, 1, 0, 0), (0, 0, 0, 0, 1, -1)])]
+    for nvars in (3, 4, 5):
+        width = len(eta_basis_pairs(nvars))
+        cases += [(nvars, [[rng.randint(-5, 5) for _ in range(width)]
+                           for _ in range(nvars - 1)]) for _ in range(6)]
+    for nvars, rows in cases:
+        for field in (QQ, PrimeField(7)):
+            try:
+                system = wsystem_from_coords(nvars, rows, field)
+            except DependentSystemError:
+                continue
+            assert system.forms == tuple(summed_one_form(nvars, row, field) for row in rows)
+            assert system.coords == tuple(tuple(field.coerce(c) for c in row) for row in rows)
 
 
 def test_dependent_system_rejected():
@@ -128,6 +141,13 @@ def test_bundle_decomposition_reassembles(fermat_quartic):
         for j, part in enumerate(row):
             rebuilt = rebuilt + syzygy_form(4, j).poly_mul(part)
         assert rebuilt == omit
+
+
+def test_bundle_top_form_is_the_full_wedge(fermat_quartic):
+    bundles = [sample_bundle(fermat_quartic, seed=5, trial=t)[0] for t in range(3)]
+    bundles.append(build_bundle(fermat_quartic, eta_system((0, 1), (0, 2), (0, 3))))
+    for bundle in bundles:
+        assert bundle.top_form == wedge_all(bundle.system.forms)
 
 
 def test_gauge_shift_changes_nothing_mod_f(fermat_quartic):

@@ -14,6 +14,7 @@ from adjtorelli.errors import (
 from adjtorelli.exactla import Echelon
 from adjtorelli.extforms import (
     ExtForm,
+    _vector_wedge,
     basis_one_form,
     divide_by_fundamental,
     euler_contract,
@@ -22,7 +23,9 @@ from adjtorelli.extforms import (
     syzygy_decompose,
     syzygy_form,
     wedge,
+    wedge_all,
 )
+from adjtorelli.fields import QQ, PrimeField
 from adjtorelli.polyring import Polynomial, monomial_basis, poly_div_exact
 
 from conftest import random_homogeneous, x
@@ -228,6 +231,22 @@ def test_decompose_rejects_non_euler_null():
         syzygy_decompose(dx(4, 0, 2))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
+def test_decompose_rejects_non_euler_null_by_its_solve(field):
+    form = ExtForm(4, 2, {(0, 1): x(2, 4, field)}, field)
+    assert not euler_contract(form).is_zero()
+    message = "form is not Euler-null: it is outside the span of the syzygy forms"
+    with pytest.raises(NoDecompositionError, match=message):
+        syzygy_decompose(form)
+
+
+def test_decompose_on_the_projective_line():
+    # grade 0 on P^1: x0 == 0 * syzygy_form(0) + 1 * syzygy_form(1)
+    parts = syzygy_decompose(ExtForm(2, 0, {(): x(0, 2)}))
+    assert parts == (Polynomial.zero(2), Polynomial.constant(2, 1))
+    assert syzygy_form(2, 1) == ExtForm(2, 0, {(): x(0, 2)})
+
+
 def test_decompose_gauge_kernel_is_coordinate_multiples():
     """Kernel of the assembly map is spanned by (x0*g, ..., xn*g)."""
     sympy = pytest.importorskip("sympy")
@@ -338,6 +357,24 @@ def test_relift_rejects_rank_two_offsets():
     offsets = [(c1(1), c1(0)), (c1(0), c1(1))]
     with pytest.raises(RankOneConditionError):
         relift_expand(s, offsets)
+
+
+def test_relift_rejects_rank_zero_vectors():
+    with pytest.raises(ValueError, match="rank 0"):
+        relift_expand([(), ()], [(), ()])
+
+
+def test_vector_wedge_matches_the_form_wedge():
+    """Module vectors of rank nvars wedge like grade-1 forms in nvars coordinates."""
+    rng = random.Random(83)
+    for _ in range(30):
+        nvars = rng.randint(2, 5)
+        vectors = [
+            tuple(random_homogeneous(nvars, degree, rng, bound=2) for _ in range(nvars))
+            for degree in (rng.randint(0, 2) for _ in range(rng.randint(1, nvars)))
+        ]
+        forms = [ExtForm(nvars, 1, {(b,): p for b, p in enumerate(v)}) for v in vectors]
+        assert _vector_wedge(vectors, nvars, QQ) == wedge_all(forms).terms
 
 
 def _random_module_vector(rank, rng, nvars=2):
