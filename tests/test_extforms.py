@@ -227,17 +227,18 @@ def test_decompose_roundtrip_on_eta_wedges():
 
 
 def test_decompose_rejects_non_euler_null():
-    with pytest.raises(NoDecompositionError):
-        syzygy_decompose(dx(4, 0, 2))
-
-
-@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
-def test_decompose_rejects_non_euler_null_by_its_solve(field):
-    form = ExtForm(4, 2, {(0, 1): x(2, 4, field)}, field)
-    assert not euler_contract(form).is_zero()
-    message = "form is not Euler-null: it is outside the span of the syzygy forms"
-    with pytest.raises(NoDecompositionError, match=message):
-        syzygy_decompose(form)
+    """A constant form stops at the coefficient-degree gate; a degree-1 form
+    that is not Euler-null is refused by the failed span solve."""
+    cases = [(dx(4, 0, 2), "coefficient degree must be at least 1")]
+    cases += [
+        (ExtForm(4, 2, {(0, 1): x(2, 4, field)}, field),
+         "form is not Euler-null: it is outside the span of the syzygy forms")
+        for field in (QQ, PrimeField(3))
+    ]
+    for form, message in cases:
+        assert not euler_contract(form).is_zero()
+        with pytest.raises(NoDecompositionError, match=message):
+            syzygy_decompose(form)
 
 
 def test_decompose_on_the_projective_line():
