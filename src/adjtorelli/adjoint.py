@@ -30,7 +30,7 @@ cross-check, is exposed for tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Optional, Tuple
 
@@ -66,6 +66,7 @@ from .polyring import (
 
 COEFFICIENT_RANGE = 5  # sampled coordinates are uniform in [-5, 5]
 MAX_RESAMPLES = 10
+MAX_CACHED_BUNDLES = 64  # sampled bundles kept per hypersurface, oldest evicted
 
 
 def eta_basis_pairs(nvars: int) -> Tuple[Tuple[int, int], ...]:
@@ -356,7 +357,26 @@ def sample_bundle(h: Hypersurface, seed: int, trial: int):
     vanishes, or the subsystem has a common divisor.  Returns the accepted
     bundle and the number of attempts consumed; after the cap the last
     buildable bundle is returned and callers must inspect it.
+
+    The bundle depends only on (F, seed, trial), so each (seed, trial) is
+    sampled once per hypersurface: the result is kept on h, without its
+    hypersurface field so that h is still freed by reference counting, and a
+    later call returns an equal bundle around h with the same attempt count.
+    At most MAX_CACHED_BUNDLES entries are kept; the oldest goes first.
     """
+    key = (seed, trial)
+    entry = h._bundles.get(key)
+    if entry is None:
+        bundle, attempts = _resample(h, seed, trial)
+        if len(h._bundles) >= MAX_CACHED_BUNDLES:
+            h._bundles.pop(next(iter(h._bundles)), None)
+        kept = tuple(getattr(bundle, f.name) for f in fields(AdjointBundle)[1:])
+        entry = h._bundles[key] = kept, attempts
+    kept, attempts = entry
+    return AdjointBundle(h, *kept), attempts
+
+
+def _resample(h: Hypersurface, seed: int, trial: int):
     rng = trial_rng(seed, trial)
     last = None
     for attempt in range(MAX_RESAMPLES + 1):

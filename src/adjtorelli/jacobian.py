@@ -158,6 +158,9 @@ class Hypersurface:
                 f"survive in degree {self.socle_degree + 1}"
             )
         self._ideal: Dict[int, GradedPiece] = {}
+        # adjoint.sample_bundle's entries, keyed by (seed, trial); they hold
+        # no reference back to this hypersurface
+        self._bundles: Dict[Tuple[int, int], tuple] = {}
 
     def __repr__(self):
         return f"Hypersurface(n={self.n}, d={self.degree}, F={self.poly})"

@@ -1,9 +1,14 @@
+import gc
 import random
+import weakref
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
 
+from adjtorelli import adjoint
 from adjtorelli.adjoint import (
+    AdjointBundle,
     build_bundle,
     canonical_adjoint,
     epsilon_sign,
@@ -401,13 +406,45 @@ def test_reduction_modulo_f_uses_no_echelon(monkeypatch):
 
 # ----- sampling determinism ---------------------------------------------------------------
 
+def _without_hypersurface(bundle):
+    return tuple(getattr(bundle, f.name) for f in fields(AdjointBundle)[1:])
+
+
 def test_sampling_is_deterministic(fermat_quartic):
-    a, att_a = sample_bundle(fermat_quartic, seed=4, trial=2)
-    b, att_b = sample_bundle(fermat_quartic, seed=4, trial=2)
-    assert att_a == att_b
-    assert a.system.coords == b.system.coords
-    assert a.top_poly == b.top_poly
-    assert a.subsystem == b.subsystem
+    sample_bundle(fermat_quartic, seed=4, trial=2)
+    hit, att_hit = sample_bundle(fermat_quartic, seed=4, trial=2)
+    fresh, att_fresh = sample_bundle(Hypersurface(fermat(4, 4)), seed=4, trial=2)
+    assert hit.hypersurface is fermat_quartic
+    assert att_hit == att_fresh
+    assert _without_hypersurface(hit) == _without_hypersurface(fresh)
+
+
+def test_bundle_cache_keeps_no_reference_to_the_hypersurface():
+    h = Hypersurface(fermat(4, 4))
+    gc.disable()
+    try:
+        for trial in range(2):
+            sample_bundle(h, seed=0, trial=trial)
+        assert len(h._bundles) == 2
+        ref = weakref.ref(h)
+        del h
+        assert ref() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
+
+
+def test_bundle_cache_is_bounded_and_evicts_the_oldest(monkeypatch):
+    assert adjoint.MAX_CACHED_BUNDLES >= 12  # the 4 seeds x 3 trials of a sweep
+    monkeypatch.setattr(adjoint, "MAX_CACHED_BUNDLES", 3)
+    h = Hypersurface(fermat(4, 4))
+    first, attempts = sample_bundle(h, seed=0, trial=0)
+    for trial in range(1, 4):
+        sample_bundle(h, seed=0, trial=trial)
+    assert list(h._bundles) == [(0, 1), (0, 2), (0, 3)]
+    again, attempts_again = sample_bundle(h, seed=0, trial=0)
+    assert attempts_again == attempts
+    assert _without_hypersurface(again) == _without_hypersurface(first)
+    assert len(h._bundles) == 3
 
 
 def test_trial_streams_differ():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from adjtorelli.errors import HomogeneityError, HypothesisViolationError
+from adjtorelli.fields import QQ, PrimeField
 from adjtorelli.jacobian import Hypersurface, graded_membership
 from adjtorelli.polyring import Polynomial, monomial_basis
 from adjtorelli.torelli import (
@@ -106,9 +107,10 @@ def test_product_criterion_matches_membership_on_quintic(fermat_quintic):
         assert direct == via_products
 
 
-def test_fixed_divisor_gcd_runs_once_per_bundle(fermat_quartic, monkeypatch):
+def test_fixed_divisor_gcd_runs_once_per_bundle(monkeypatch):
     from adjtorelli import adjoint
 
+    h = Hypersurface(fermat(4, 4))  # a cold bundle cache
     gcd_calls = []
     built = []
     gcd_many, build_bundle = adjoint.gcd_many, adjoint.build_bundle
@@ -124,7 +126,26 @@ def test_fixed_divisor_gcd_runs_once_per_bundle(fermat_quartic, monkeypatch):
 
     monkeypatch.setattr(adjoint, "gcd_many", counted_gcd)
     monkeypatch.setattr(adjoint, "build_bundle", recorded_build)
-    report = check(fermat_quartic, x(0) * x(1) * x(2) * x(3), trials=3, seed=0)
+    R = x(0) * x(1) * x(2) * x(3)
+    report = check(h, R, trials=3, seed=0)
     assert len(report.trials) == 3
     assert len(built) >= 3 and not any(b.degenerate for b in built)
     assert len(gcd_calls) == len(built)
+    # the second run on h takes every bundle from its cache
+    built.clear()
+    gcd_calls.clear()
+    assert check(h, R, trials=3, seed=0) == report
+    assert built == [] and gcd_calls == []
+
+
+@pytest.mark.parametrize("field, exponents", [
+    (QQ, (3, 1, 0, 0)),             # R in J
+    (QQ, (1, 1, 1, 1)),             # R outside J
+    (PrimeField(7), (1, 1, 1, 1)),
+])
+def test_warm_and_cold_hypersurfaces_give_equal_reports(field, exponents):
+    R = Polynomial(4, {exponents: field.coerce(1)}, field)
+    h = Hypersurface(fermat(4, 4, field))
+    cold = check(h, R, trials=3, seed=2)
+    assert len(h._bundles) == 3
+    assert check(h, R, trials=3, seed=2) == cold
