@@ -14,7 +14,8 @@ the constant 2-form alpha with that row.  From it we compute:
 * for a degree-d polynomial R, the canonical adjoint P*R and the image
   membership test deciding whether P*R lies in the span of the subsystem
   polynomials times degree-2 multipliers, modulo F, with exact multiplier
-  certificates.
+  certificates.  That span depends on the bundle alone, so its generators
+  and the per-prime echelons of its solves are kept on the bundle.
 
 Reducing modulo F is division by F (polyring.poly_divmod): {F} is a
 Groebner basis of (F), so the remainder is the unique representative, and
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
+from dataclasses import field as dataclass_field
 from itertools import combinations
 from typing import Optional, Tuple
 
@@ -42,7 +44,7 @@ from .errors import (
     HypothesisViolationError,
     VariableCountMismatchError,
 )
-from .exactla import rref, solve_in_span
+from .exactla import Span, rref, solve_in_span
 from .extforms import (
     ExtForm,
     divide_by_fundamental,
@@ -151,6 +153,9 @@ class AdjointBundle:
     subsystem: Tuple[Polynomial, ...]     # omega_i reduced modulo F
     degenerate: bool                      # top_poly == 0
     fixed_divisor: Optional[Polynomial]   # nonconstant gcd of the subsystem
+    # (Span, labels) of the image generators once image_membership has built
+    # them; shared by every copy sample_bundle returns, left out of == and repr
+    image_span: list = dataclass_field(default_factory=list, compare=False, repr=False)
 
 
 def build_bundle(h: Hypersurface, system: WSystem) -> AdjointBundle:
@@ -241,29 +246,36 @@ def image_membership(bundle: AdjointBundle, R: Polynomial) -> Optional[ImageCert
     if residual.is_zero():
         zeros = tuple(Polynomial.zero(nvars, field) for _ in range(n))
         return ImageCertificate(zeros, principal)
+    span, labels = _image_span(bundle)
     index = basis_index(nvars, n + h.degree - 1)
-
-    def dense(poly):
-        out = [field.zero] * len(index)
-        for mono, c in poly.terms.items():
-            out[index[mono]] = c
-        return out
-
-    # slots omega_1..omega_n with degree-2 multipliers, then F with degree n-1
-    slots = [(omega, 2) for omega in bundle.subsystem] + [(h.poly, n - 1)]
-    labels = []
-    generators = []
-    for slot, (poly, shift) in enumerate(slots):
-        for mono in monomial_basis(nvars, shift):
-            labels.append((slot, mono))
-            generators.append(dense(poly.mul_monomial(mono)))
-    cert = solve_in_span(dense(adjoint), generators, field)
+    target = [field.zero] * span.dim
+    for mono, c in adjoint.terms.items():
+        target[index[mono]] = c
+    cert = solve_in_span(target, span, field)
     if cert is None:
         return None
     *multipliers, principal = slot_polynomials(
         zip(labels, cert.coefficients), n + 1, nvars, field
     )
     return ImageCertificate(tuple(multipliers), principal)
+
+
+def _image_span(bundle: AdjointBundle):
+    """The Span of m * omega_i (deg m = 2) and m * F (deg m = n-1) inside
+    S_(n+d-1), from sparse rows, with a (slot, monomial) label per
+    generator; built by the first call and kept in bundle.image_span."""
+    if not bundle.image_span:
+        h = bundle.hypersurface
+        index = basis_index(h.nvars, h.n + h.degree - 1)
+        slots = [(omega, 2) for omega in bundle.subsystem] + [(h.poly, h.n - 1)]
+        labels = []
+        rows = []
+        for slot, (poly, shift) in enumerate(slots):
+            for mono in monomial_basis(h.nvars, shift):
+                labels.append((slot, mono))
+                rows.append({index[m]: c for m, c in poly.mul_monomial(mono).terms.items()})
+        bundle.image_span.append((Span(rows, len(index), h.field), tuple(labels)))
+    return bundle.image_span[0]
 
 
 def monomial_to_adjoint(nvars: int, mono: Monomial, field=QQ) -> WSystem:

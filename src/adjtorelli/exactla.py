@@ -12,9 +12,14 @@ Every row operation, on a reduced vector or on a stored row and on their
 combinations, is one call of _sub_multiple, the only inner loop that
 depends on the field.  rref reads the reduced form, pivots and rank of a
 list of equal-length rows off an untracked Echelon; solve_in_span writes a
-target over generators with a tracked one; polyring's gcd reads its
+target over generators with tracked ones; polyring's gcd reads its
 relation u * a == v * b off a tracked one whose columns are monomials (any
 ordered, hashable column keys work).
+
+A Span holds fixed generators as sparse rows together with the tracked
+echelons its solves have built, one per prime, each packed (Echelon.pack)
+to what a reduce reads; a caller that solves many targets against one span
+passes the same Span each time, and each echelon is built once.
 
 Over GF(p) an Echelon's rows and combinations are raw ints in [0, p), as
 in modular elimination generally; over the rationals they are Fractions.
@@ -27,13 +32,16 @@ independent over Q too, so the solution is unique: a nonzero residual mod p
 proves the target is outside the span, and a zero one gives the solution mod
 p, which is CRT-combined across primes, rationally reconstructed (Wang 1981)
 and returned only once SpanCertificate.verify passes over Q.  Anything else
-falls back to the elimination over Q, so no answer or certificate changes.
+falls back to the elimination over Q, which no Span keeps, so no answer or
+certificate changes.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +51,9 @@ from .fields import QQ, PrimeField
 SPAN_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579,
                2147483563, 2147483549, 2147483543, 2147483497)
 _SPAN_FIELDS = tuple(PrimeField(p) for p in SPAN_PRIMES)
+# what a Span over Q remembers of a prime that cannot decide its solves
+_DEPENDENT = "dependent"  # a generator adds no rank mod p: eliminate over Q
+_SKIP = "skip"  # p divides a generator's denominator: try the next prime
 
 
 @dataclass(frozen=True)
@@ -51,18 +62,68 @@ class SpanCertificate:
 
     coefficients: Tuple
 
-    def verify(self, target: Sequence, generators: Sequence[Sequence]) -> bool:
-        """Exact recomputation of target - sum(c_i * g_i) == 0."""
-        if len(self.coefficients) != len(generators):
+    def verify(self, target: Sequence, generators) -> bool:
+        """Exact recomputation of target - sum(c_i * g_i) == 0.
+
+        generators are rows as long as target, or a Span of that dimension;
+        any disagreement in length is False.
+        """
+        if isinstance(generators, Span):
+            rows, dim = generators.rows, generators.dim
+        elif any(len(g) != len(target) for g in generators):
             return False
-        residual = list(target)
-        for coeff, gen in zip(self.coefficients, generators):
-            if not coeff:
-                continue
-            for k, value in enumerate(gen):
-                if value:
-                    residual[k] = residual[k] - coeff * value
-        return not any(residual)
+        else:
+            rows, dim = [_sparse(g) for g in generators], len(target)
+        if dim != len(target) or len(self.coefficients) != len(rows):
+            return False
+        residual = _sparse(target)
+        for i, coeff in enumerate(self.coefficients):
+            if coeff:
+                _sub_multiple(residual, coeff, rows[i], 0)
+        return not residual
+
+
+class Span:
+    """Fixed generators, given as sparse {column: value} rows of length dim
+    over field and kept packed, and what the span solves against them have
+    built.
+
+    The first solve that needs a prime builds the tracked Echelon of the rows
+    modulo it and keeps it packed.  Over Q a prime can instead be remembered
+    as of no use: a generator adds no rank mod p (solves then eliminate over
+    Q, uncached), or p divides a denominator (solves skip it).  len() is the
+    number of generators.
+    """
+
+    def __init__(self, rows: Sequence[Dict], dim: int, field=QQ):
+        self.rows = _PackedRows(rows, 0)
+        self.dim = dim
+        self.field = field
+        self._echelons: Dict = {}  # p -> packed Echelon, _DEPENDENT or _SKIP
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _echelon(self, field):
+        """The packed tracked echelon of the rows over field, a GF(p); for a
+        span over Q, _DEPENDENT or _SKIP when p cannot decide its solves."""
+        state = self._echelons.get(field.p)
+        if state is None:
+            lifting = not self.field.characteristic
+            ech = state = Echelon(field, track=True)
+            try:
+                for row in self.rows:
+                    if not ech.insert(row) and lifting:
+                        state = _DEPENDENT  # maybe dependent over Q too
+                        break
+            except ZeroDivisionError:
+                if not lifting:
+                    raise
+                state = _SKIP
+            if state is ech:
+                ech.pack()
+            self._echelons[field.p] = state
+        return state
 
 
 def rref(rows: Sequence[Sequence], field=QQ) -> Tuple[List[Tuple], Tuple[int, ...], int]:
@@ -148,6 +209,16 @@ class Echelon:
                     _sub_multiple(combo, -mult, self.combos[ridx], self.p)
         return vec, combo
 
+    def pack(self) -> None:
+        """Keep only what reduce reads, packed in arrays; no insert may follow.
+
+        Stored rows and combinations go flat into arrays (keys must be ints)
+        and col_rows is dropped.
+        """
+        self.rows = _PackedRows(self.rows, self.p)
+        self.combos = _PackedRows(self.combos, self.p)
+        self.col_rows = None
+
     def insert(self, vec: Dict) -> bool:
         """Insert one generator; returns True when the rank increased."""
         gen_idx = self.n_inserted
@@ -191,9 +262,37 @@ class Echelon:
         return True
 
 
+class _PackedRows:
+    """Sparse rows with int keys, flat in unsigned arrays: ends[i] is where
+    row i stops.  Residues mod p < 2^64 pack as well, other values (p == 0)
+    stay in a tuple; row i comes back as a fresh {key: value} dict."""
+
+    __slots__ = ("ends", "keys", "values")
+
+    def __init__(self, rows: Sequence[Dict], p: int):
+        self.ends = array("I", accumulate(map(len, rows)))
+        self.keys = array("I", [k for row in rows for k in row])
+        values = [v for row in rows for v in row.values()]
+        if 0 < p < 2 ** 64:
+            self.values = array("I" if p < 2 ** 32 else "Q", values)
+        else:
+            self.values = tuple(values)
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, i: int) -> Dict:
+        start, end = self.ends[i - 1] if i else 0, self.ends[i]
+        return dict(zip(self.keys[start:end], self.values[start:end]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.ends)))
+
+
 def _sub_multiple(target: Dict, factor, source: Dict, p: int, added: Optional[list] = None):
-    """target -= factor * source in place, mod p when p is nonzero; neither
-    holds a 0 before or after.  Keys new to target are appended to added."""
+    """target -= factor * source in place, mod p when p is nonzero and in
+    the values' own field otherwise; neither holds a 0 before or after.
+    Keys new to target are appended to added."""
     neg = -factor
     if p:
         for k, v in source.items():
@@ -219,51 +318,59 @@ def _sub_multiple(target: Dict, factor, source: Dict, p: int, added: Optional[li
             del target[k]
 
 
-def solve_in_span(
-    target: Sequence, generators: Sequence[Sequence], field=QQ
-) -> Optional[SpanCertificate]:
+def solve_in_span(target: Sequence, generators, field=QQ) -> Optional[SpanCertificate]:
     """Exact coefficients writing target over the generators, or None.
 
-    Deterministic: generators are inserted in the given order into a reduced
-    echelon with combination tracking, and the target is reduced against it.
-    Over Q the answer is first sought modulo SPAN_PRIMES; whatever it finds
-    is what that elimination would return.
+    generators are rows as long as target, or a Span over field whose
+    per-prime echelons the next solve reuses.  Deterministic: the answer is
+    that of inserting the generators in order into a tracked reduced echelon
+    and reducing the target against it.  Over Q the answer is first sought
+    modulo SPAN_PRIMES; whatever it finds is what that elimination returns.
     """
-    dim = len(target)
-    for g in generators:
-        if len(g) != dim:
-            raise ValueError("dimension mismatch between target and generators")
-    if not field.characteristic:
-        decided, cert = _solve_modular(target, generators)
+    if isinstance(generators, Span):
+        span = generators
+    elif any(len(g) != len(target) for g in generators):
+        raise ValueError("dimension mismatch between target and generators")
+    else:
+        span = Span([_sparse(g) for g in generators], len(target), field)
+    if span.dim != len(target) or span.field != field:
+        raise ValueError("target and span disagree on dimension or field")
+    goal = _sparse(target)
+    if field.characteristic:
+        residual, combo = span._echelon(field).reduce(goal)
+    else:
+        decided, cert = _solve_modular(target, goal, span)
         if decided:
             return cert
-    ech = Echelon(field, track=True)
-    for g in generators:
-        ech.insert({i: v for i, v in enumerate(g) if v})
-    residual, combo = ech.reduce({i: v for i, v in enumerate(target) if v})
+        ech = Echelon(field, track=True)
+        for row in span.rows:
+            ech.insert(row)
+        residual, combo = ech.reduce(goal)
     if residual:
         return None
-    return SpanCertificate(
-        tuple(combo.get(i, field.zero) for i in range(len(generators)))
-    )
+    return SpanCertificate(tuple(combo.get(i, field.zero) for i in range(len(span))))
 
 
-def _solve_modular(target, generators) -> Tuple[bool, Optional[SpanCertificate]]:
+def _sparse(vec: Sequence) -> Dict:
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def _solve_modular(target, goal, span) -> Tuple[bool, Optional[SpanCertificate]]:
     """(True, answer) when the primes decide a span solve over Q, else
     (False, None).  A prime dividing a denominator is skipped."""
-    goal = {i: v for i, v in enumerate(target) if v}
-    residues = [0] * len(generators)
+    residues = [0] * len(span)
     modulus = 1
     for field in _SPAN_FIELDS:
+        ech = span._echelon(field)
+        if ech is _DEPENDENT:
+            return False, None
+        if ech is _SKIP:
+            continue
         p = field.p
-        ech = Echelon(field, track=True)
         try:
-            for g in generators:
-                if not ech.insert({i: v for i, v in enumerate(g) if v}):
-                    return False, None  # dependent mod p, maybe over Q too
             residual, combo = ech.reduce(goal)
         except ZeroDivisionError:
-            continue
+            continue  # p divides a denominator of the target
         if residual:
             return True, None
         inv = pow(modulus, -1, p)
@@ -274,7 +381,7 @@ def _solve_modular(target, generators) -> Tuple[bool, Optional[SpanCertificate]]
         coefficients = tuple(_rational_reconstruct(r, modulus) for r in residues)
         if None not in coefficients:
             cert = SpanCertificate(coefficients)
-            if cert.verify(target, generators):
+            if cert.verify(target, span):
                 return True, cert
     return False, None
 

@@ -237,17 +237,16 @@ class Polynomial:
         )
 
     def mul_monomial(self, mono: Monomial, coeff=None) -> "Polynomial":
-        """Fast product with coeff * x^mono."""
+        """Fast product with coeff * x^mono; with no coeff, the product with
+        x^mono shares this polynomial's coefficient objects."""
         mono = tuple(mono)
         if coeff is None:
-            coeff = self.field.one
-        if not coeff:
+            terms = {monomial_mul(m, mono): c for m, c in self.terms.items()}
+        elif not coeff:
             return Polynomial.zero(self.nvars, self.field)
-        return Polynomial(
-            self.nvars,
-            {monomial_mul(m, mono): c * coeff for m, c in self.terms.items()},
-            self.field,
-        )
+        else:
+            terms = {monomial_mul(m, mono): c * coeff for m, c in self.terms.items()}
+        return Polynomial(self.nvars, terms, self.field)
 
     def __pow__(self, exponent: int):
         """Power by repeated squaring.  One that needs a graded piece past

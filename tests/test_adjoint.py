@@ -1,12 +1,14 @@
 import gc
+import io
 import random
 import weakref
 from dataclasses import fields
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from adjtorelli import adjoint
+from adjtorelli import adjoint, cli
 from adjtorelli.adjoint import (
     AdjointBundle,
     build_bundle,
@@ -40,6 +42,8 @@ from adjtorelli.jacobian import Hypersurface, graded_membership, reduce_mod
 from adjtorelli.polyring import Polynomial, monomial_basis, poly_div_exact
 
 from conftest import fermat, random_homogeneous, x
+
+DATA = Path(__file__).parent / "data"
 
 
 def eta_system(*pairs, nvars=4):
@@ -407,7 +411,7 @@ def test_reduction_modulo_f_uses_no_echelon(monkeypatch):
 # ----- sampling determinism ---------------------------------------------------------------
 
 def _without_hypersurface(bundle):
-    return tuple(getattr(bundle, f.name) for f in fields(AdjointBundle)[1:])
+    return tuple(getattr(bundle, f.name) for f in fields(AdjointBundle)[1:] if f.compare)
 
 
 def test_sampling_is_deterministic(fermat_quartic):
@@ -425,7 +429,11 @@ def test_bundle_cache_keeps_no_reference_to_the_hypersurface():
     try:
         for trial in range(2):
             sample_bundle(h, seed=0, trial=trial)
+        no_r = x(0) * x(1) * x(2) * x(3)
+        assert image_membership(sample_bundle(h, seed=0, trial=0)[0], no_r) is None
         assert len(h._bundles) == 2
+        # the last kept field is image_span: trial 0's is filled
+        assert [bool(kept[-1]) for kept, _ in h._bundles.values()] == [True, False]
         ref = weakref.ref(h)
         del h
         assert ref() is None  # freed by reference counting alone
@@ -445,6 +453,60 @@ def test_bundle_cache_is_bounded_and_evicts_the_oldest(monkeypatch):
     assert attempts_again == attempts
     assert _without_hypersurface(again) == _without_hypersurface(first)
     assert len(h._bundles) == 3
+
+
+def test_a_bundle_builds_its_image_span_once(monkeypatch):
+    """The image span and its per-prime echelons are built by the first
+    image_membership and kept: later ones, on the bundle or on the copy
+    sample_bundle returns, insert nothing and answer the same."""
+    h = Hypersurface(fermat(4, 4))
+    bundle, _ = sample_bundle(h, seed=0, trial=0)
+    inserts = [0]
+    insert = Echelon.insert
+
+    def counting(self, vec):
+        inserts[0] += 1
+        return insert(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", counting)
+    yes_r, no_r = x(0) ** 3 * x(1) + 2 * x(2) ** 3 * x(3), x(0) * x(1) * x(2) * x(3)
+    yes = image_membership(bundle, yes_r)
+    built = inserts[0]
+    assert built and yes is not None and yes.verify(bundle, yes_r)
+    copy, _ = sample_bundle(h, seed=0, trial=0)
+    assert image_membership(copy, yes_r) == yes
+    assert image_membership(bundle, no_r) is None
+    assert inserts[0] == built
+    span, labels = bundle.image_span[0]
+    assert len(span) == len(labels) == 3 * 10 + 10
+    assert copy.image_span is bundle.image_span
+    assert bundle == build_bundle(h, bundle.system)  # the span is not compared
+    assert "image_span" not in repr(bundle)
+
+
+@pytest.mark.parametrize("field", ["q", "p:32003"])
+def test_torelli_reports_are_the_same_on_a_warm_hypersurface(field, monkeypatch):
+    """Cached bundles and image spans change no byte of a torelli report."""
+    files = ["fermat4_trivial.prob", "fermat4.prob"]
+
+    def report(name):
+        out = io.StringIO()
+        argv = ["torelli", str(DATA / name), "--field", field, "--trials", "3",
+                "--json", "--certificates"]
+        assert cli.main(argv, out) == 0
+        return out.getvalue()
+
+    cold = [report(name) for name in files]
+    shared = []
+
+    def one_hypersurface(F):
+        if not shared:
+            shared.append(Hypersurface(F))
+        return shared[0]
+
+    monkeypatch.setattr(cli.jacobian_mod, "Hypersurface", one_hypersurface)
+    assert [report(name) for name in files + files] == cold + cold
+    assert all(kept[-1] for kept, _ in shared[0]._bundles.values())  # image spans
 
 
 def test_trial_streams_differ():

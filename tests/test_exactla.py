@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from adjtorelli.exactla import (
     SPAN_PRIMES,
     Echelon,
+    Span,
     SpanCertificate,
     rref,
     solve_in_span,
@@ -306,15 +307,15 @@ def counted_inserts():
         Echelon.insert = insert
 
 
-def exact_solve(target, gens):
-    """The answer of a tracked elimination over Q: coefficients or None."""
-    ech = Echelon(QQ, track=True)
+def exact_solve(target, gens, field=QQ):
+    """The answer of a tracked elimination over field: coefficients or None."""
+    ech = Echelon(field, track=True)
     for g in gens:
         ech.insert({j: v for j, v in enumerate(g) if v})
     residual, combo = ech.reduce({j: v for j, v in enumerate(target) if v})
     if residual:
         return None
-    return tuple(combo.get(i, F(0)) for i in range(len(gens)))
+    return tuple(combo.get(i, field.zero) for i in range(len(gens)))
 
 
 def solved(target, gens):
@@ -421,3 +422,81 @@ def test_verify_skips_zero_generator_entries():
     gens = [[F(1), Loud(0)], [Loud(0), F(1)]]
     assert SpanCertificate((F(2), F(3))).verify([F(2), F(3)], gens)
     assert not SpanCertificate((F(2), F(3))).verify([F(2), F(4)], gens)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_verify_is_false_on_ragged_generators(field):
+    one, zero = field.one, field.zero
+    assert SpanCertificate((one,)).verify([one, zero], [[one, zero]])
+    assert not SpanCertificate((one,)).verify([one, zero], [[one]])  # shorter
+    assert not SpanCertificate((one,)).verify([one], [[one, zero]])  # longer
+    assert not SpanCertificate((one,)).verify([one], [[one, one]])
+    assert not SpanCertificate((one,)).verify([one, zero], Span([{0: one}], 1, field))
+    assert not SpanCertificate((1,)).verify([1, 0], [[1]])
+
+
+# ----- spans kept across solves ----------------------------------------------
+
+GF7 = PrimeField(7)
+# (field, generators, targets): the targets hold a "yes" and a "no" each
+KEPT_SPANS = {
+    "Q independent": (QQ, [[F(1), F(2), F(0), F(5, 3)], [F(0), F(1), F(3), F(-1)],
+                           [F(2), F(0), F(1, 7), F(1)]],
+                      [[F(3), F(3), F(22, 7), F(5, 3)], [F(1), F(0), F(0), F(0)]]),
+    "Q dependent": (QQ, [[F(1), F(2), F(0)], [F(0), F(1), F(1, 3)], [F(1), F(4), F(2, 3)]],
+                    [[F(1), F(3), F(1, 3)], [F(0), F(0), F(1)]]),
+    "Q first prime skipped": (QQ, [[F(1), F(1, P0), F(0)], [F(0), F(1), F(0)]],
+                              [[F(2), F(3), F(0)], [F(0), F(5, 2), F(1)]]),
+    "GF7 independent": (GF7, [[1, 2, 0, 5], [0, 1, 3, 6], [2, 0, 4, 1]],
+                        [[3, 3, 0, 5], [1, 0, 0, 0]]),
+    "GF7 dependent": (GF7, [[1, 2, 0], [0, 1, 3], [1, 4, 6]],
+                      [[1, 3, 3], [0, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_SPANS))
+def test_a_kept_span_answers_as_fresh_solves(name):
+    field, gens, targets = KEPT_SPANS[name]
+    gens = [[field.coerce(v) for v in g] for g in gens]
+    targets = [[field.coerce(v) for v in t] for t in targets]
+    span = Span([{j: v for j, v in enumerate(g) if v} for g in gens], len(gens[0]), field)
+    fresh = [solve_in_span(t, gens, field) for t in targets]
+    assert [c and c.coefficients for c in fresh] == [exact_solve(t, gens, field) for t in targets]
+    assert fresh[0] is not None and fresh[0].verify(targets[0], gens)
+    assert fresh[1] is None
+    with counted_inserts() as first:
+        assert [solve_in_span(t, span, field) for t in targets] == fresh
+    with counted_inserts() as again:
+        assert [solve_in_span(t, span, field) for t in targets] == fresh
+    assert len(span) == len(gens)
+    # each prime's echelon, or its verdict, was built in the first round only
+    assert sum(again[p] for p in again if p) == 0 and sum(first.values())
+    if name == "Q dependent":
+        assert again[0] == len(targets) * len(gens) and first[P0] == len(gens)
+    if name == "Q first prime skipped":
+        assert first[P0] == 1 and first[P1] == len(gens) and not first[0]
+
+
+def test_a_span_refuses_a_target_of_another_dimension_or_field():
+    span = Span([{0: F(1)}], 2, QQ)
+    with pytest.raises(ValueError):
+        solve_in_span([F(1)], span)
+    with pytest.raises(ValueError):
+        solve_in_span([GF7.one, GF7.zero], span, GF7)
+
+
+@pytest.mark.parametrize("p", [7, 2 ** 61 - 1, 2 ** 89 - 1])
+def test_a_packed_echelon_reduces_as_before(p):
+    """pack() keeps what reduce reads, for residues in 32-bit, 64-bit and
+    unbounded storage alike."""
+    field = PrimeField(p)
+    rng = random.Random(p % 1000)
+    ech = Echelon(field, track=True)
+    for _ in range(6):
+        ech.insert({j: rng.randrange(p) for j in rng.sample(range(9), 4)})
+    probes = [{j: rng.randrange(p) for j in rng.sample(range(9), 5)} for _ in range(5)]
+    before = [ech.reduce(v) for v in probes]
+    rank, pivots = ech.rank, ech.pivot_columns()
+    ech.pack()
+    assert [ech.reduce(v) for v in probes] == before
+    assert (ech.rank, ech.pivot_columns()) == (rank, pivots)
