@@ -18,7 +18,7 @@ from .adjoint import (
     subsystem_sign_check,
     wsystem_from_coords,
 )
-from .exactla import Echelon, SpanCertificate, rref, solve_in_span
+from .exactla import Echelon, Span, SpanCertificate, rref, solve_in_span
 from .extforms import (
     ExtForm,
     ReliftReport,

@@ -251,7 +251,7 @@ def image_membership(bundle: AdjointBundle, R: Polynomial) -> Optional[ImageCert
     target = [field.zero] * span.dim
     for mono, c in adjoint.terms.items():
         target[index[mono]] = c
-    cert = solve_in_span(target, span, field)
+    cert = solve_in_span(target, span)
     if cert is None:
         return None
     *multipliers, principal = slot_polynomials(

@@ -12,14 +12,15 @@ Every row operation, on a reduced vector or on a stored row and on their
 combinations, is one call of _sub_multiple, the only inner loop that
 depends on the field.  rref reads the reduced form, pivots and rank of a
 list of equal-length rows off an untracked Echelon; solve_in_span writes a
-target over generators with tracked ones; polyring's gcd reads its
+target over a Span's generators with tracked ones; polyring's gcd reads its
 relation u * a == v * b off a tracked one whose columns are monomials (any
 ordered, hashable column keys work).
 
-A Span holds fixed generators as sparse rows together with the tracked
-echelons its solves have built, one per prime, each packed (Echelon.pack)
-to what a reduce reads; a caller that solves many targets against one span
-passes the same Span each time, and each echelon is built once.
+A Span holds fixed generators as sparse rows over one field together with
+the tracked echelons its solves have built, one per prime, each packed
+(Echelon.pack) to what a reduce reads.  It is the only generator input of a
+span solve: a caller that solves many targets against one span passes the
+same Span each time, and each echelon is built once.
 
 Over GF(p) an Echelon's rows and combinations are raw ints in [0, p), as
 in modular elimination generally; over the rationals they are Fractions.
@@ -62,24 +63,15 @@ class SpanCertificate:
 
     coefficients: Tuple
 
-    def verify(self, target: Sequence, generators) -> bool:
-        """Exact recomputation of target - sum(c_i * g_i) == 0.
-
-        generators are rows as long as target, or a Span of that dimension;
-        any disagreement in length is False.
-        """
-        if isinstance(generators, Span):
-            rows, dim = generators.rows, generators.dim
-        elif any(len(g) != len(target) for g in generators):
-            return False
-        else:
-            rows, dim = [_sparse(g) for g in generators], len(target)
-        if dim != len(target) or len(self.coefficients) != len(rows):
+    def verify(self, target: Sequence, span: Span) -> bool:
+        """Exact recomputation of target - sum(c_i * g_i) == 0 over the
+        span's generators; a target of another dimension is False."""
+        if span.dim != len(target) or len(self.coefficients) != len(span):
             return False
         residual = _sparse(target)
         for i, coeff in enumerate(self.coefficients):
             if coeff:
-                _sub_multiple(residual, coeff, rows[i], 0)
+                _sub_multiple(residual, coeff, span.rows[i], 0)
         return not residual
 
 
@@ -318,23 +310,18 @@ def _sub_multiple(target: Dict, factor, source: Dict, p: int, added: Optional[li
             del target[k]
 
 
-def solve_in_span(target: Sequence, generators, field=QQ) -> Optional[SpanCertificate]:
-    """Exact coefficients writing target over the generators, or None.
+def solve_in_span(target: Sequence, span: Span) -> Optional[SpanCertificate]:
+    """Exact coefficients writing target over the span's generators, or None.
 
-    generators are rows as long as target, or a Span over field whose
-    per-prime echelons the next solve reuses.  Deterministic: the answer is
-    that of inserting the generators in order into a tracked reduced echelon
-    and reducing the target against it.  Over Q the answer is first sought
+    The span's per-prime echelons are built by the first solve that needs
+    them and reused by the next.  Deterministic: the answer is that of
+    inserting the generators in order into a tracked reduced echelon and
+    reducing the target against it.  Over Q the answer is first sought
     modulo SPAN_PRIMES; whatever it finds is what that elimination returns.
     """
-    if isinstance(generators, Span):
-        span = generators
-    elif any(len(g) != len(target) for g in generators):
-        raise ValueError("dimension mismatch between target and generators")
-    else:
-        span = Span([_sparse(g) for g in generators], len(target), field)
-    if span.dim != len(target) or span.field != field:
-        raise ValueError("target and span disagree on dimension or field")
+    if span.dim != len(target):
+        raise ValueError("target and span disagree on dimension")
+    field = span.field
     goal = _sparse(target)
     if field.characteristic:
         residual, combo = span._echelon(field).reduce(goal)

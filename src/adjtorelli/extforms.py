@@ -33,9 +33,9 @@ basis vectors e_b take the place of dx_b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     FieldMismatchError,
@@ -46,7 +46,7 @@ from .errors import (
     RankOneConditionError,
     VariableCountMismatchError,
 )
-from .exactla import solve_in_span
+from .exactla import Span, solve_in_span
 from .fields import QQ
 from .polyring import Polynomial, basis_index, monomial_basis, poly_div_exact, slot_polynomials
 
@@ -324,24 +324,34 @@ def divide_by_fundamental(w: ExtForm) -> Polynomial:
     return quotient
 
 
-def _flatten(form: ExtForm, subsets: Sequence[Tuple[int, ...]], degree: int) -> List:
-    """Dense coordinates of a form over (multi-index, monomial) pairs."""
-    monos = monomial_basis(form.nvars, degree)
-    index = basis_index(form.nvars, degree)
-    width = len(monos)
-    vec = [form.field.zero] * (len(subsets) * width)
-    positions = {s: k for k, s in enumerate(subsets)}
-    for idxs, poly in form.terms.items():
-        base = positions[idxs] * width
-        for mono, coeff in poly.terms.items():
-            vec[base + index[mono]] = coeff
-    return vec
+@lru_cache(maxsize=None)
+def _syzygy_span(nvars: int, degree: int, field) -> Tuple[Span, Tuple, Dict]:
+    """The Span of the generators m * syzygy_form(j) for coefficient degree
+    `degree`, a (j, m) label per generator, and each multi-index's column
+    offset (monomial u on dx_s is column offsets[s] + its basis_index); it
+    depends on nothing else, so it and its echelons are built once per shape."""
+    n = nvars - 1
+    index = basis_index(nvars, degree)
+    width = len(index)
+    offsets = {s: k * width for k, s in enumerate(combinations(range(nvars), n - 1))}
+    rows = []
+    labels = []
+    for j in range(nvars):
+        base = syzygy_form(nvars, j, field)
+        for mono in monomial_basis(nvars, degree - 1):
+            if j == n and mono[n]:
+                continue  # fixes the gauge: A_n has no x_n term
+            rows.append({offsets[s] + index[m]: c for s, poly in base.terms.items()
+                         for m, c in poly.mul_monomial(mono).terms.items()})
+            labels.append((j, mono))
+    return Span(rows, len(offsets) * width, field), tuple(labels), offsets
 
 
 def syzygy_decompose(w: ExtForm) -> Tuple[Polynomial, ...]:
     """Polynomials A_0..A_n with w == sum_j A_j * syzygy_form(j).
 
-    Solved as one exact linear system over the monomial coefficient space.
+    Solved as one exact linear system over the monomial coefficient space,
+    against the span _syzygy_span keeps for w's shape.
     By Koszul exactness the only relations among the generators
     m * syzygy_form(j) are the gauge (x_0 g, ..., x_n g), so leaving out the
     multiples of syzygy_form(n) by monomials holding x_n keeps the span and
@@ -360,21 +370,13 @@ def syzygy_decompose(w: ExtForm) -> Tuple[Polynomial, ...]:
         raise NoDecompositionError(
             "coefficient degree must be at least 1 to decompose"
         )
-    subsets = tuple(combinations(range(nvars), n - 1))
-    target = _flatten(w, subsets, degree)
-    generators = []
-    labels = []
-    for j in range(nvars):
-        base = syzygy_form(nvars, j, w.field)
-        for mono in monomial_basis(nvars, degree - 1):
-            if j == n and mono[n]:
-                continue  # fixes the gauge: A_n has no x_n term
-            generators.append(
-                _flatten(base.poly_mul(Polynomial.from_monomial(nvars, mono, 1, w.field)),
-                         subsets, degree)
-            )
-            labels.append((j, mono))
-    cert = solve_in_span(target, generators, w.field)
+    span, labels, offsets = _syzygy_span(nvars, degree, w.field)
+    index = basis_index(nvars, degree)
+    target = [w.field.zero] * span.dim
+    for idxs, poly in w.terms.items():
+        for mono, coeff in poly.terms.items():
+            target[offsets[idxs] + index[mono]] = coeff
+    cert = solve_in_span(target, span)
     if cert is None:
         raise NoDecompositionError(
             "form is not Euler-null: it is outside the span of the syzygy forms"

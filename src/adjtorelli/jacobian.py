@@ -53,10 +53,7 @@ class GradedPiece:
 
     def reduce(self, G: Polynomial) -> Tuple[Polynomial, Tuple[Polynomial, ...]]:
         """Residual of G in S_k modulo the span, and one multiplier per partial:
-        G == residual + sum_j multiplier[j] * dF/dx_j.
-
-        The multipliers are meaningful only on a tracking echelon.
-        """
+        G == residual + sum_j multiplier[j] * dF/dx_j."""
         residual, combo = self.echelon.reduce(_poly_vector(G, self.k))
         basis = monomial_basis(G.nvars, self.k)
         residual = Polynomial(G.nvars, {basis[i]: c for i, c in residual.items()}, G.field)
@@ -69,10 +66,9 @@ def _poly_vector(poly: Polynomial, k: int) -> Dict[int, object]:
     return {index[m]: c for m, c in poly.terms.items()}
 
 
-def _graded_piece(generators: Iterable, nvars: int, k: int, field,
-                  track: bool = True) -> GradedPiece:
-    """Echelon of the (label, polynomial) generators, inserted in the order given."""
-    echelon = Echelon(field, track=track)
+def _graded_piece(generators: Iterable, nvars: int, k: int, field) -> GradedPiece:
+    """Tracked echelon of the (label, polynomial) generators, in the order given."""
+    echelon = Echelon(field, track=True)
     labels = []
     for label, poly in generators:
         echelon.insert(_poly_vector(poly, k))
@@ -104,9 +100,10 @@ def is_smooth(F: Polynomial):
     nvars = F.nvars
     partials = [F.partial(i) for i in range(nvars)]
     k = nvars * (d - 2) + 1
-    generators = _multiples(partials, nvars, k - (d - 1))
-    piece = _graded_piece(generators, nvars, k, F.field, track=False)
-    witness = comb(nvars - 1 + k, k) - piece.echelon.rank
+    echelon = Echelon(F.field)
+    for _, poly in _multiples(partials, nvars, k - (d - 1)):
+        echelon.insert(_poly_vector(poly, k))
+    witness = comb(nvars - 1 + k, k) - echelon.rank
     return witness == 0, witness
 
 

@@ -236,16 +236,10 @@ class Polynomial:
             self.nvars, {m: c * scalar for m, c in self.terms.items()}, self.field
         )
 
-    def mul_monomial(self, mono: Monomial, coeff=None) -> "Polynomial":
-        """Fast product with coeff * x^mono; with no coeff, the product with
-        x^mono shares this polynomial's coefficient objects."""
+    def mul_monomial(self, mono: Monomial) -> "Polynomial":
+        """Fast product with x^mono, sharing this polynomial's coefficient objects."""
         mono = tuple(mono)
-        if coeff is None:
-            terms = {monomial_mul(m, mono): c for m, c in self.terms.items()}
-        elif not coeff:
-            return Polynomial.zero(self.nvars, self.field)
-        else:
-            terms = {monomial_mul(m, mono): c * coeff for m, c in self.terms.items()}
+        terms = {monomial_mul(m, mono): c for m, c in self.terms.items()}
         return Polynomial(self.nvars, terms, self.field)
 
     def __pow__(self, exponent: int):

@@ -323,7 +323,7 @@ def test_sign_cross_check_on_bundles(fermat_quartic):
 def test_eta_pair_subsystems_span_coordinate_partials(fermat_quartic):
     """Every x_k * dF/dx_j with k != j lies in the span of the subsystem
     polynomials of all eta-basis pairs, modulo F."""
-    from adjtorelli.exactla import solve_in_span
+    from adjtorelli.exactla import Span, solve_in_span
     from adjtorelli.extforms import syzygy_decompose, wedge
     from adjtorelli.jacobian import _poly_vector
 
@@ -350,13 +350,13 @@ def test_eta_pair_subsystems_span_coordinate_partials(fermat_quartic):
             out[idx] = c
         return out
 
-    generators = [dense(p) for p in spanning]
+    span = Span([_poly_vector(p, 4) for p in spanning], width, h.field)
     for j in range(4):
         for k in range(4):
             if j == k:
                 continue
             target = Polynomial.variable(4, k) * h.partials[j]
-            assert solve_in_span(dense(target), generators) is not None
+            assert solve_in_span(dense(target), span) is not None
 
 
 def test_image_membership_over_q_eliminates_nothing_over_q(fermat_quartic, monkeypatch):

@@ -386,7 +386,8 @@ GOLDEN_COMMANDS = {
                                          "--json", "--certificates"],
     "golden_adjoint_certificates.json": ["adjoint", "fermat4.prob", "--w",
                                          "01,02,03", "--json", "--certificates"],
-    # the quintic fourfold over Q, whose span solves are decided modulo primes
+    # the Fermat quintic threefold in P^4 over Q, whose span solves are decided
+    # modulo primes
     "golden_torelli_fermat5_certificates.json": ["torelli", "fermat5.prob", "--json",
                                                  "--certificates", "--trials", "1"],
 }

@@ -12,12 +12,18 @@ from adjtorelli.exactla import (
     Echelon,
     Span,
     SpanCertificate,
+    _PackedRows,
     rref,
     solve_in_span,
 )
 from adjtorelli.fields import QQ, PrimeField, PrimeFieldElement
 
 F = Fraction
+
+
+def as_span(gens, dim, field=QQ):
+    """The Span of equal-length dense rows, each of length dim."""
+    return Span([{j: v for j, v in enumerate(g) if v} for g in gens], dim, field)
 
 
 def matrices(max_dim=5, elements=st.fractions(min_value=-6, max_value=6, max_denominator=3)):
@@ -76,23 +82,24 @@ def test_rank_nullity(m):
 
 
 def test_solve_in_span_standard_basis():
-    cert = solve_in_span([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]])
+    cert = solve_in_span([F(1), F(1)], as_span([[F(1), F(0)], [F(0), F(1)]], 2))
     assert cert.coefficients == (F(1), F(1))
 
 
 def test_solve_in_span_misses():
-    assert solve_in_span([F(1), F(0)], [[F(0), F(1)]]) is None
+    assert solve_in_span([F(1), F(0)], as_span([[F(0), F(1)]], 2)) is None
 
 
 def test_solve_in_span_zero_target():
-    cert = solve_in_span([F(0), F(0)], [[F(1), F(2)], [F(3), F(4)]])
+    span = as_span([[F(1), F(2)], [F(3), F(4)]], 2)
+    cert = solve_in_span([F(0), F(0)], span)
     assert cert.coefficients == (F(0), F(0))
-    assert cert.verify([F(0), F(0)], [[F(1), F(2)], [F(3), F(4)]])
+    assert cert.verify([F(0), F(0)], span)
 
 
 def test_solve_in_span_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_in_span([F(1)], [[F(1), F(2)]])
+        solve_in_span([F(1)], as_span([[F(1), F(2)]], 2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,15 +115,15 @@ def test_certificates_reverify(seed):
     target = [
         sum((c * g[k] for c, g in zip(coeffs, gens)), F(0)) for k in range(dim)
     ]
-    cert = solve_in_span(target, gens)
+    span = as_span(gens, dim)
+    cert = solve_in_span(target, span)
     assert cert is not None
-    assert cert.verify(target, gens)
+    assert cert.verify(target, span)
 
 
 def test_verify_rejects_wrong_certificate():
-    gens = [[F(1), F(0)], [F(0), F(1)]]
     bogus = SpanCertificate((F(2), F(0)))
-    assert not bogus.verify([F(1), F(1)], gens)
+    assert not bogus.verify([F(1), F(1)], as_span([[F(1), F(0)], [F(0), F(1)]], 2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -320,12 +327,13 @@ def exact_solve(target, gens, field=QQ):
 
 def solved(target, gens):
     """solve_in_span's answer as exact_solve spells it, plus the inserts."""
+    span = as_span(gens, len(target))
     with counted_inserts() as counts:
-        cert = solve_in_span(target, gens)
+        cert = solve_in_span(target, span)
     if cert is None:
         return None, counts
     assert all(type(c) is Fraction for c in cert.coefficients)
-    assert cert.verify(target, gens)
+    assert cert.verify(target, span)
     return cert.coefficients, counts
 
 
@@ -419,20 +427,33 @@ def test_verify_skips_zero_generator_entries():
         def __rmul__(self, other):
             raise AssertionError("multiplied a zero entry")
 
-    gens = [[F(1), Loud(0)], [Loud(0), F(1)]]
-    assert SpanCertificate((F(2), F(3))).verify([F(2), F(3)], gens)
-    assert not SpanCertificate((F(2), F(3))).verify([F(2), F(4)], gens)
+    span = as_span([[F(1), Loud(0)], [Loud(0), F(1)]], 2)
+    assert SpanCertificate((F(2), F(3))).verify([F(2), F(3)], span)
+    assert not SpanCertificate((F(2), F(3))).verify([F(2), F(4)], span)
+
+
+def test_verify_unpacks_only_rows_with_a_nonzero_coefficient(monkeypatch):
+    unpacked = []
+    getitem = _PackedRows.__getitem__
+
+    def counting(self, i):
+        unpacked.append(i)
+        return getitem(self, i)
+
+    span = as_span([[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]], 2)
+    monkeypatch.setattr(_PackedRows, "__getitem__", counting)
+    assert SpanCertificate((F(0), F(3), F(0))).verify([F(0), F(3)], span)
+    assert unpacked == [1]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
 def test_verify_is_false_on_ragged_generators(field):
+    """Generators of another length than the target: a Span of another
+    dimension."""
     one, zero = field.one, field.zero
-    assert SpanCertificate((one,)).verify([one, zero], [[one, zero]])
-    assert not SpanCertificate((one,)).verify([one, zero], [[one]])  # shorter
-    assert not SpanCertificate((one,)).verify([one], [[one, zero]])  # longer
-    assert not SpanCertificate((one,)).verify([one], [[one, one]])
+    assert SpanCertificate((one,)).verify([one, zero], as_span([[one, zero]], 2, field))
     assert not SpanCertificate((one,)).verify([one, zero], Span([{0: one}], 1, field))
-    assert not SpanCertificate((1,)).verify([1, 0], [[1]])
+    assert not SpanCertificate((one,)).verify([one], Span([{0: one}], 2, field))
 
 
 # ----- spans kept across solves ----------------------------------------------
@@ -459,15 +480,16 @@ def test_a_kept_span_answers_as_fresh_solves(name):
     field, gens, targets = KEPT_SPANS[name]
     gens = [[field.coerce(v) for v in g] for g in gens]
     targets = [[field.coerce(v) for v in t] for t in targets]
-    span = Span([{j: v for j, v in enumerate(g) if v} for g in gens], len(gens[0]), field)
-    fresh = [solve_in_span(t, gens, field) for t in targets]
+    dim = len(gens[0])
+    span = as_span(gens, dim, field)
+    fresh = [solve_in_span(t, as_span(gens, dim, field)) for t in targets]
     assert [c and c.coefficients for c in fresh] == [exact_solve(t, gens, field) for t in targets]
-    assert fresh[0] is not None and fresh[0].verify(targets[0], gens)
+    assert fresh[0] is not None and fresh[0].verify(targets[0], span)
     assert fresh[1] is None
     with counted_inserts() as first:
-        assert [solve_in_span(t, span, field) for t in targets] == fresh
+        assert [solve_in_span(t, span) for t in targets] == fresh
     with counted_inserts() as again:
-        assert [solve_in_span(t, span, field) for t in targets] == fresh
+        assert [solve_in_span(t, span) for t in targets] == fresh
     assert len(span) == len(gens)
     # each prime's echelon, or its verdict, was built in the first round only
     assert sum(again[p] for p in again if p) == 0 and sum(first.values())
@@ -478,11 +500,15 @@ def test_a_kept_span_answers_as_fresh_solves(name):
 
 
 def test_a_span_refuses_a_target_of_another_dimension_or_field():
+    """The field is the span's: a target in another prime field fails to
+    coerce into it."""
     span = Span([{0: F(1)}], 2, QQ)
     with pytest.raises(ValueError):
         solve_in_span([F(1)], span)
     with pytest.raises(ValueError):
-        solve_in_span([GF7.one, GF7.zero], span, GF7)
+        solve_in_span([GF7.one, GF7.zero], span)
+    with pytest.raises(ValueError):
+        solve_in_span([GF7.one, GF7.zero], Span([{0: 1}], 2, PrimeField(11)))
 
 
 @pytest.mark.parametrize("p", [7, 2 ** 61 - 1, 2 ** 89 - 1])

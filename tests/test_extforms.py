@@ -14,6 +14,7 @@ from adjtorelli.errors import (
 from adjtorelli.exactla import Echelon
 from adjtorelli.extforms import (
     ExtForm,
+    _syzygy_span,
     _vector_wedge,
     basis_one_form,
     divide_by_fundamental,
@@ -258,8 +259,8 @@ def test_decompose_gauge_kernel_is_coordinate_multiples():
     lower = monomial_basis(nvars, coeff_degree - 1)
 
     def flatten(form):
-        from adjtorelli.extforms import _flatten
-        return _flatten(form, subsets, coeff_degree)
+        """Dense coordinates over (multi-index, monomial) pairs."""
+        return [form.coefficient(s).terms.get(m, Fraction(0)) for s in subsets for m in monos]
 
     columns = []
     for j in range(nvars):
@@ -309,6 +310,33 @@ def test_decompose_over_q_fixes_the_gauge_and_eliminates_nothing_over_q(
             total = total + syzygy_form(n + 1, j).poly_mul(part)
         assert total == w
     assert rational_inserts[0] == 0
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_a_second_decomposition_of_a_shape_inserts_nothing(field, monkeypatch):
+    """The syzygy span of a shape, with its echelons, is built once: a later
+    decomposition of that shape only reduces against it."""
+    w, other = (wedge(basis_one_form(4, *a, field), basis_one_form(4, *b, field))
+                for a, b in (((0, 1), (0, 2)), ((1, 3), (0, 2))))
+    inserts = [0]
+    insert = Echelon.insert
+
+    def counting(self, vec):
+        inserts[0] += 1
+        return insert(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", counting)
+    _syzygy_span.cache_clear()
+    first = syzygy_decompose(w)
+    assert inserts[0]
+    inserts[0] = 0
+    assert syzygy_decompose(w) == first
+    parts = syzygy_decompose(other)
+    assert inserts[0] == 0
+    rebuilt = ExtForm.zero(4, 2, field)
+    for j, part in enumerate(parts):
+        rebuilt = rebuilt + syzygy_form(4, j, field).poly_mul(part)
+    assert rebuilt == other
 
 
 def test_decompose_matches_pairwise_coefficient_identity():
