@@ -1,18 +1,21 @@
 """Exact linear algebra built on one incremental row-echelon accumulator.
 
 Echelon is the only elimination loop: generators are inserted one at a time
-as sparse {column: value} rows, the reduced basis is maintained
-incrementally, and optional combination tracking records every row as an
-exact linear combination of the inserted generators, which is what turns a
-membership decision into a re-verifiable certificate.  Each stored row's
-pivot is its smallest column.  Reduced row echelon form is unique, so any
-insertion order that lands on it gives bit-identical results.
+as sparse {column: value} rows, and each stored row's pivot is its smallest
+column.  Untracked, it keeps the unique reduced row echelon basis, which
+rref reads off.  Tracked, it is a row echelon factor that never rewrites a
+stored row: each row records how its generator was reduced, and a reduce
+turns that record into the target's exact combination of the inserted
+generators, which is what turns a membership decision into a re-verifiable
+certificate.  Both forms give the same pivots, rank and residuals, and the
+combination over the generators that raised the rank is unique, so answers
+depend only on the generators and their insertion order.
 
-Every row operation, on a reduced vector or on a stored row and on their
-combinations, is one call of _sub_multiple, the only inner loop that
-depends on the field.  rref reads the reduced form, pivots and rank of a
-list of equal-length rows off an untracked Echelon; solve_in_span writes a
-target over a Span's generators with tracked ones; polyring's gcd reads its
+Every row operation, on a reduced vector, a stored row or a combination
+record, is one call of _sub_multiple, the only inner loop that depends on
+the field.  rref reads the reduced form, pivots and rank of a list of
+equal-length rows off an untracked Echelon; solve_in_span writes a target
+over a Span's generators with tracked ones; polyring's gcd reads its
 relation u * a == v * b off a tracked one whose columns are monomials (any
 ordered, hashable column keys work).
 
@@ -22,8 +25,8 @@ the tracked echelons its solves have built, one per prime, each packed
 span solve: a caller that solves many targets against one span passes the
 same Span each time, and each echelon is built once.
 
-Over GF(p) an Echelon's rows and combinations are raw ints in [0, p), as
-in modular elimination generally; over the rationals they are Fractions.
+Over GF(p) an Echelon's rows and records are raw ints in [0, p), as in
+modular elimination generally; over the rationals they are Fractions.
 Values pass through field.coerce at insert and reduce, so callers hand in
 and get back field elements.
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -121,8 +125,9 @@ class Span:
 def rref(rows: Sequence[Sequence], field=QQ) -> Tuple[List[Tuple], Tuple[int, ...], int]:
     """Reduced row echelon form of equal-length rows, pivot columns, and rank.
 
-    The rows go into an untracked Echelon; its stored rows, read in pivot
-    order as field elements and padded with zero rows, are the reduced rows.
+    The rows go into an untracked Echelon, the form that back-substitutes;
+    its stored rows, read in pivot order as field elements and padded with
+    zero rows, are the reduced rows.
     """
     ncols = len(rows[0]) if rows else 0
     ech = Echelon(field)
@@ -140,18 +145,30 @@ def rref(rows: Sequence[Sequence], field=QQ) -> Tuple[List[Tuple], Tuple[int, ..
 
 
 class Echelon:
-    """Incremental reduced row echelon basis with exact combination tracking.
+    """Incremental row echelon basis of sparse rows, in one of two forms.
 
-    Rows are sparse column->value mappings.  After every insertion the stored
-    rows form the unique reduced echelon basis of the span of everything
-    inserted so far, with the pivot of each row being its smallest column.
-    With track=True each row additionally carries its expression as a
-    combination of inserted generators (indexed by insertion order).
+    Rows are sparse column->value mappings.  Each stored row has a 1 at its
+    pivot, which is its smallest column, and a 0 at the pivot of every row
+    stored before it.  Both forms give the same pivots, rank and residuals:
+    a residual modulo the span is supported off the pivot columns, and that
+    makes it unique.
 
-    col_rows lists, for each non-pivot column, the stored rows that may hold
-    it: a row holding the column is always listed, a row whose entry there
-    cancelled may stay listed, and the set is dropped once the column
-    becomes a pivot.
+    Untracked (the default), each insert also back-substitutes the new pivot
+    into the stored rows, so they always form the unique reduced row echelon
+    basis of the span; rref reads it off, and reduced rows stay short on
+    dense input.  col_rows lists, for each non-pivot column, the stored rows
+    that may hold it: a row holding the column is always listed, a row whose
+    entry there cancelled may stay listed, and the set is dropped once the
+    column becomes a pivot.
+
+    Tracked (track=True), the echelon is a row echelon factor: a stored row
+    is never changed again.  Row i records instead the index gens[i] of the
+    generator it came from (generators are numbered in insertion order), its
+    inverse lead invs[i] and the multipliers steps[i] = {row j: m_j} its own
+    reduction used, so that row_i == invs[i] * (generator gens[i] -
+    sum_j m_j * row_j).  reduce turns a target's multipliers into generator
+    coefficients by one backward pass over that record; the result is the
+    unique combination over the generators that raised the rank.
     """
 
     def __init__(self, field=QQ, track: bool = False):
@@ -159,9 +176,11 @@ class Echelon:
         self.track = track
         self.p = field.characteristic  # 0 over the rationals
         self.rows: List[Dict] = []
-        self.combos: List[Dict] = []
         self.pivot_rows: Dict[int, int] = {}
         self.col_rows: Dict[int, set] = {}
+        self.gens: List[int] = []
+        self.invs: List = []
+        self.steps: List[Dict] = []
         self.n_inserted = 0
 
     @property
@@ -183,92 +202,126 @@ class Echelon:
 
     def reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
         """Residual of vec modulo the current row space, plus the generator
-        combination used: vec == residual + sum(combo[g] * generator_g)."""
-        residual, combo = self._reduce(self._entries(vec))
+        combination used: vec == residual + sum(combo[g] * generator_g).
+        The combination is empty on an untracked echelon."""
+        residual, mults = self._reduce(self._entries(vec))
+        combo = self._combination(mults) if self.track else {}
         coerce = self.field.coerce
         return ({c: coerce(v) for c, v in residual.items()},
                 {g: coerce(v) for g, v in combo.items()})
 
     def _reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
-        """reduce on a vector already in the stored representation, in place."""
-        combo: Dict = {}
-        for col in sorted(c for c in vec if c in self.pivot_rows):
+        """reduce on a vector already in the stored representation, in place:
+        the residual and the multiplier of each stored row taken off it.
+
+        Pivot columns are visited in increasing order through a heap, which
+        also takes the pivots a subtracted row brings in; only the rows of a
+        tracked echelon can hold another row's pivot.
+        """
+        pivot_rows, rows, p = self.pivot_rows, self.rows, self.p
+        heap = [c for c in vec if c in pivot_rows]
+        heapify(heap)
+        added = [] if self.track else None
+        mults: Dict = {}
+        while heap:
+            col = heappop(heap)
             mult = vec.get(col)  # the row's 1 at col clears it
             if mult:
-                ridx = self.pivot_rows[col]
-                _sub_multiple(vec, mult, self.rows[ridx], self.p)
-                if self.track:
-                    _sub_multiple(combo, -mult, self.combos[ridx], self.p)
-        return vec, combo
+                ridx = pivot_rows[col]
+                mults[ridx] = mult
+                _sub_multiple(vec, mult, rows[ridx], p, added)
+                if added:
+                    for c in added:
+                        if c in pivot_rows:
+                            heappush(heap, c)
+                    added.clear()
+        return vec, mults
+
+    def _combination(self, mults: Dict) -> Dict:
+        """Generator coefficients of sum(mults[i] * row_i), consuming mults:
+        rows from the last down, each passes its coefficient to its
+        generator and, through its steps, to the rows before it."""
+        p, gens, invs, steps = self.p, self.gens, self.invs, self.steps
+        combo = {}
+        for ridx in range(max(mults, default=-1), -1, -1):
+            mult = mults.pop(ridx, None)
+            if mult:
+                coeff = mult * invs[ridx] % p if p else mult * invs[ridx]
+                combo[gens[ridx]] = coeff
+                _sub_multiple(mults, coeff, steps[ridx], p)
+        return combo
 
     def pack(self) -> None:
         """Keep only what reduce reads, packed in arrays; no insert may follow.
 
-        Stored rows and combinations go flat into arrays (keys must be ints)
+        Stored rows and the record go flat into arrays (keys must be ints)
         and col_rows is dropped.
         """
-        self.rows = _PackedRows(self.rows, self.p)
-        self.combos = _PackedRows(self.combos, self.p)
+        p = self.p
+        self.rows = _PackedRows(self.rows, p)
+        self.gens = array("I", self.gens)
+        self.invs = _packed_values(self.invs, p)
+        self.steps = _PackedRows(self.steps, p)
         self.col_rows = None
 
     def insert(self, vec: Dict) -> bool:
         """Insert one generator; returns True when the rank increased."""
         gen_idx = self.n_inserted
         self.n_inserted += 1
-        residual, combo = self._reduce(self._entries(vec))
+        residual, mults = self._reduce(self._entries(vec))
         if not residual:
             return False
         pivot = min(residual)
         lead = residual[pivot]
         p = self.p
-        # combo is empty unless tracking
         if p:
             inv = pow(lead, -1, p)
             row = {c: v * inv % p for c, v in residual.items()}
-            new_combo = {g: -v * inv % p for g, v in combo.items()}
         else:
             inv = 1 / lead
             row = {c: v * inv for c, v in residual.items()}
-            new_combo = {g: -v * inv for g, v in combo.items()}
-        if self.track:
-            new_combo[gen_idx] = inv
-        # keep existing rows reduced against the new pivot column
-        col_rows = self.col_rows
-        for ridx in sorted(col_rows.pop(pivot, ())):
-            target = self.rows[ridx]
-            factor = target.get(pivot)
-            if factor:
-                added = []
-                _sub_multiple(target, factor, row, p, added)
-                for col in added:
-                    col_rows.setdefault(col, set()).add(ridx)
-                if self.track:
-                    _sub_multiple(self.combos[ridx], factor, new_combo, p)
         ridx = len(self.rows)
+        if self.track:
+            self.gens.append(gen_idx)
+            self.invs.append(inv)
+            self.steps.append(mults)
+        else:
+            # keep the stored rows reduced against the new pivot column
+            col_rows = self.col_rows
+            for i in sorted(col_rows.pop(pivot, ())):
+                target = self.rows[i]
+                factor = target.get(pivot)
+                if factor:
+                    added = []
+                    _sub_multiple(target, factor, row, p, added)
+                    for col in added:
+                        col_rows.setdefault(col, set()).add(i)
+            for col in row:
+                if col != pivot:
+                    col_rows.setdefault(col, set()).add(ridx)
         self.rows.append(row)
-        self.combos.append(new_combo)
         self.pivot_rows[pivot] = ridx
-        for col in row:
-            if col != pivot:
-                col_rows.setdefault(col, set()).add(ridx)
         return True
 
 
+def _packed_values(values: Sequence, p: int):
+    """Residues mod p < 2^64 in an unsigned array, other values in a tuple."""
+    if 0 < p < 2 ** 64:
+        return array("I" if p < 2 ** 32 else "Q", values)
+    return tuple(values)
+
+
 class _PackedRows:
-    """Sparse rows with int keys, flat in unsigned arrays: ends[i] is where
-    row i stops.  Residues mod p < 2^64 pack as well, other values (p == 0)
-    stay in a tuple; row i comes back as a fresh {key: value} dict."""
+    """Sparse rows with int keys, flat in arrays (values as _packed_values
+    keeps them): ends[i] is where row i stops; row i comes back as a fresh
+    {key: value} dict."""
 
     __slots__ = ("ends", "keys", "values")
 
     def __init__(self, rows: Sequence[Dict], p: int):
         self.ends = array("I", accumulate(map(len, rows)))
         self.keys = array("I", [k for row in rows for k in row])
-        values = [v for row in rows for v in row.values()]
-        if 0 < p < 2 ** 64:
-            self.values = array("I" if p < 2 ** 32 else "Q", values)
-        else:
-            self.values = tuple(values)
+        self.values = _packed_values([v for row in rows for v in row.values()], p)
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -315,9 +368,10 @@ def solve_in_span(target: Sequence, span: Span) -> Optional[SpanCertificate]:
 
     The span's per-prime echelons are built by the first solve that needs
     them and reused by the next.  Deterministic: the answer is that of
-    inserting the generators in order into a tracked reduced echelon and
-    reducing the target against it.  Over Q the answer is first sought
-    modulo SPAN_PRIMES; whatever it finds is what that elimination returns.
+    inserting the generators in order into a tracked echelon over the
+    span's field and reducing the target against it.  Over Q the answer is
+    first sought modulo SPAN_PRIMES; whatever it finds is what that
+    elimination returns.
     """
     if span.dim != len(target):
         raise ValueError("target and span disagree on dimension")

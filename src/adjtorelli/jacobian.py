@@ -6,10 +6,10 @@ The ideal is generated in the single degree d-1 by the partial derivatives,
 so membership in any graded piece is a finite span problem over the field.
 Each graded piece of the Jacobian ideal is an incremental echelon over the
 monomial basis, built lazily and cached on the hypersurface.  Cache fills
-are idempotent (the reduced echelon of a piece is unique), so concurrent
-readers can only ever observe the one canonical value.  Reduction modulo F
-itself needs no linear algebra: {F} is a Groebner basis of (F), so
-reduce_mod is the remainder of polynomial division by F.
+are idempotent (a piece's echelon depends only on its generators, taken in
+one fixed order), so concurrent readers can only ever observe one value.
+Reduction modulo F itself needs no linear algebra: {F} is a Groebner basis
+of (F), so reduce_mod is the remainder of polynomial division by F.
 """
 
 from __future__ import annotations
@@ -67,24 +67,27 @@ def _poly_vector(poly: Polynomial, k: int) -> Dict[int, object]:
 
 
 def _graded_piece(generators: Iterable, nvars: int, k: int, field) -> GradedPiece:
-    """Tracked echelon of the (label, polynomial) generators, in the order given."""
+    """Tracked echelon of the (label, sparse row) generators, in the order given."""
     echelon = Echelon(field, track=True)
     labels = []
-    for label, poly in generators:
-        echelon.insert(_poly_vector(poly, k))
+    for label, row in generators:
+        echelon.insert(row)
         labels.append(label)
     basis = monomial_basis(nvars, k)
     quotient = tuple(basis[i] for i in echelon.nonpivot_columns(len(basis)))
     return GradedPiece(echelon, tuple(labels), quotient, k)
 
 
-def _multiples(polys, nvars: int, shift: int):
-    """Labelled generators m * polys[j] for deg m = shift, monomial-major."""
+def _multiples(polys, nvars: int, shift: int, k: int):
+    """Labelled generators m * polys[j] for deg m = shift, monomial-major, as
+    sparse rows of S_k read straight off the terms of polys."""
     if shift < 0:
         return
-    for mono in monomial_basis(nvars, shift):
+    shifts = monomial_basis(nvars, shift)  # before S_k: a budget error names it
+    index = basis_index(nvars, k)
+    for mono in shifts:
         for j, poly in enumerate(polys):
-            yield (j, mono), poly.mul_monomial(mono)
+            yield (j, mono), {index[monomial_mul(m, mono)]: c for m, c in poly.terms.items()}
 
 
 def is_smooth(F: Polynomial):
@@ -101,8 +104,8 @@ def is_smooth(F: Polynomial):
     partials = [F.partial(i) for i in range(nvars)]
     k = nvars * (d - 2) + 1
     echelon = Echelon(F.field)
-    for _, poly in _multiples(partials, nvars, k - (d - 1)):
-        echelon.insert(_poly_vector(poly, k))
+    for _, row in _multiples(partials, nvars, k - (d - 1), k):
+        echelon.insert(row)
     witness = comb(nvars - 1 + k, k) - echelon.rank
     return witness == 0, witness
 
@@ -168,7 +171,7 @@ class Hypersurface:
         """Echelon of span{m * F_j : deg m = k - d + 1} inside S_k."""
         piece = self._ideal.get(k)
         if piece is None:
-            generators = _multiples(self.partials, self.nvars, k - (self.degree - 1))
+            generators = _multiples(self.partials, self.nvars, k - (self.degree - 1), k)
             piece = _graded_piece(generators, self.nvars, k, self.field)
             self._ideal[k] = piece
         return piece

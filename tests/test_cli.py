@@ -390,6 +390,10 @@ GOLDEN_COMMANDS = {
     # modulo primes
     "golden_torelli_fermat5_certificates.json": ["torelli", "fermat5.prob", "--json",
                                                  "--certificates", "--trials", "1"],
+    # the same threefold over GF(32003), solved in the field itself
+    "golden_torelli_fermat5_gf32003_certificates.json": [
+        "torelli", "fermat5.prob", "--field", "p:32003", "--trials", "2", "--seed", "0",
+        "--json", "--certificates"],
 }
 
 

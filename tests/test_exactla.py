@@ -17,6 +17,7 @@ from adjtorelli.exactla import (
     solve_in_span,
 )
 from adjtorelli.fields import QQ, PrimeField, PrimeFieldElement
+from adjtorelli.polyring import monomial_basis
 
 F = Fraction
 
@@ -129,11 +130,11 @@ def test_verify_rejects_wrong_certificate():
 @settings(max_examples=40, deadline=None)
 @given(matrices(max_dim=4))
 def test_echelon_agrees_with_dense_rref(m):
-    """The incremental accumulator and rref must land on sympy's canonical RREF."""
+    """The untracked accumulator and rref must land on sympy's canonical RREF."""
     sympy = pytest.importorskip("sympy")
     cols = len(m[0])
     dense, pivots = sympy.Matrix(m).rref()
-    ech = Echelon(QQ, track=True)
+    ech = Echelon(QQ)
     for r in m:
         ech.insert({j: v for j, v in enumerate(r) if v})
     assert ech.rank == len(pivots)
@@ -150,18 +151,21 @@ def test_echelon_agrees_with_dense_rref(m):
 
 
 def test_echelon_combination_tracking():
+    """Reducing each generator leaves no residual, and its combination
+    rebuilds it from the generators that raised the rank."""
     rng = random.Random(11)
     gens = [[F(rng.randint(-5, 5)) for _ in range(4)] for _ in range(6)]
     ech = Echelon(QQ, track=True)
+    raising = [i for i, g in enumerate(gens) if ech.insert({j: v for j, v in enumerate(g) if v})]
+    assert len(raising) == ech.rank == 4
     for g in gens:
-        ech.insert({j: v for j, v in enumerate(g) if v})
-    for ridx, row in enumerate(ech.rows):
-        combo = ech.combos[ridx]
+        residual, combo = ech.reduce({j: v for j, v in enumerate(g) if v})
+        assert not residual and set(combo) <= set(raising)
         rebuilt = [F(0)] * 4
         for g_idx, c in combo.items():
             for k in range(4):
                 rebuilt[k] += c * gens[g_idx][k]
-        assert {j: v for j, v in enumerate(rebuilt) if v} == row
+        assert rebuilt == g
 
 
 @pytest.mark.parametrize("p", [7, 32003])
@@ -181,27 +185,22 @@ def test_echelon_agrees_with_dense_rref_mod_p(p, m):
     ).rref()
     expected = [K.to_int(v) % p for row in dense.to_list() for v in row]
     gens = [{j: field.coerce(v) for j, v in enumerate(r) if v % p} for r in m]
-    ech = Echelon(field, track=True)
+    ech, tracked = Echelon(field), Echelon(field, track=True)
     for g in gens:
-        ech.insert(g)
-    assert ech.pivot_columns() == tuple(pivots)
+        assert ech.insert(g) == tracked.insert(g)
+    assert ech.pivot_columns() == tracked.pivot_columns() == tuple(pivots)
     for pivot_col, ridx in ech.pivot_rows.items():
         start = pivots.index(pivot_col) * cols
         row = expected[start:start + cols]
         assert ech.rows[ridx] == {j: v for j, v in enumerate(row) if v}
-        # the tracked combination rebuilds the stored row
-        rebuilt = [field.zero] * cols
-        for g_idx, c in ech.combos[ridx].items():
-            for j, v in gens[g_idx].items():
-                rebuilt[j] += c * v
-        assert [v.value for v in rebuilt] == row
     reduced, rref_pivots, rank = rref(m, field)
     assert (rref_pivots, rank) == (tuple(pivots), len(pivots))
     entries = [v for r in reduced for v in r]
     assert all(isinstance(v, PrimeFieldElement) and v.modulus == p for v in entries)
     assert [v.value for v in entries] == expected
     target = {j: field.coerce(j + 1) for j in range(cols)}
-    residual, combo = ech.reduce(target)
+    residual, combo = tracked.reduce(target)
+    assert residual == ech.reduce(target)[0]
     values = list(residual.values()) + list(combo.values())
     assert all(isinstance(v, PrimeFieldElement) and v.modulus == p for v in values)
     rebuilt = dict(residual)
@@ -265,31 +264,84 @@ def test_rational_echelon_stores_fractions_and_rejects_floats():
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)])
 @pytest.mark.parametrize("seed", range(12))
 def test_echelon_reduced_form_invariant(field, seed):
-    """After every insert of a cancellation-heavy stream: each stored row has
-    a 1 at its pivot and a 0 at every other pivot, its combination rebuilds
-    it, and every row holding a non-pivot column is listed under it."""
+    """After every insert of a cancellation-heavy stream into an untracked
+    echelon: each stored row has a 1 at its pivot and a 0 at every other
+    pivot, and every row holding a non-pivot column is listed under it."""
     rng = random.Random(seed)
     cols = rng.randint(2, 9)
     gens = [{c: field.coerce(rng.choice((-1, 1, 2)))
              for c in rng.sample(range(cols), rng.randint(1, cols))}
             for _ in range(rng.randint(1, 14))]
-    ech = Echelon(field, track=True)
+    ech = Echelon(field)
     for gen in gens:
         ech.insert(gen)
         for pivot, ridx in ech.pivot_rows.items():
             row = ech.rows[ridx]
             assert row[pivot] == 1
             assert all(c not in row for c in ech.pivot_rows if c != pivot)
-            rebuilt = {}
-            for g, c in ech.combos[ridx].items():
-                for j, v in gens[g].items():
-                    rebuilt[j] = rebuilt.get(j, field.zero) + field.coerce(c) * v
-            assert {j: v for j, v in rebuilt.items() if v} == {
-                j: field.coerce(v) for j, v in row.items()}
             for c in row:
                 if c != pivot:
                     assert ridx in ech.col_rows[c]
         assert not set(ech.pivot_rows) & set(ech.col_rows)
+
+
+ECHELON_FIELDS = [QQ, PrimeField(7), PrimeField(32003)]
+MONOMIALS = monomial_basis(3, 2)  # column keys as the gcd's echelons use them
+
+
+@st.composite
+def echelon_streams(draw):
+    """A field, generators with dependent and cancelling ones mixed in,
+    targets in and out of their span, the column keys, and whether to pack."""
+    field = draw(st.sampled_from(ECHELON_FIELDS))
+    cols = draw(st.integers(min_value=1, max_value=len(MONOMIALS)))
+    values = st.one_of(st.sampled_from((-1, 1, 2)), st.integers(-40_000, 40_000))
+    vector = st.dictionaries(st.integers(0, cols - 1), values.map(field.coerce), max_size=cols)
+    gens = draw(st.lists(vector, min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, len(gens) - 1)), draw(st.integers(0, len(gens) - 1))
+        a, b = draw(values.map(field.coerce)), draw(values.map(field.coerce))
+        combined = {c: a * gens[i].get(c, field.zero) + b * gens[j].get(c, field.zero)
+                    for c in set(gens[i]) | set(gens[j])}
+        gens.insert(draw(st.integers(0, len(gens))), combined)  # may cancel to zero
+    targets = draw(st.lists(vector, max_size=3)) + gens[-2:]
+    if draw(st.booleans()):
+        gens, targets = ([{MONOMIALS[c]: v for c, v in vec.items()} for vec in vecs]
+                         for vecs in (gens, targets))
+        return field, gens, targets, False
+    return field, gens, targets, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_streams())
+def test_tracked_and_untracked_echelons_agree(stream):
+    """The row echelon factor and the reduced form give the same insert
+    verdicts, rank, pivots and residuals, and the factor's combination lies
+    on the generators that raised the rank and rebuilds target - residual."""
+    field, gens, targets, pack = stream
+    tracked, untracked = Echelon(field, track=True), Echelon(field)
+    raising = []
+    for i, gen in enumerate(gens):
+        verdict = tracked.insert(gen)
+        assert untracked.insert(gen) == verdict
+        if verdict:
+            raising.append(i)
+    assert tracked.rank == untracked.rank == len(raising)
+    assert tracked.pivot_columns() == untracked.pivot_columns()
+    if pack:
+        tracked.pack()
+        untracked.pack()
+    for target in targets:
+        residual, combo = tracked.reduce(target)
+        assert residual == untracked.reduce(target)[0]
+        assert not set(residual) & set(tracked.pivot_rows)
+        assert set(combo) <= set(raising)
+        rebuilt = dict(residual)
+        for g, c in combo.items():
+            for col, v in gens[g].items():
+                rebuilt[col] = rebuilt.get(col, field.zero) + c * v
+        assert {col: v for col, v in rebuilt.items() if v} == {
+            col: v for col, v in target.items() if v}
 
 
 # ----- span solves over Q decided modulo primes ----------------------------
