@@ -1,15 +1,15 @@
 """Exact linear algebra built on one incremental row-echelon accumulator.
 
 Echelon is the only elimination loop: generators are inserted one at a time
-as sparse {column: value} rows, and each stored row's pivot is its smallest
-column.  Untracked, it keeps the unique reduced row echelon basis, which
-rref reads off.  Tracked, it is a row echelon factor that never rewrites a
-stored row: each row records how its generator was reduced, and a reduce
-turns that record into the target's exact combination of the inserted
-generators, which is what turns a membership decision into a re-verifiable
-certificate.  Both forms give the same pivots, rank and residuals, and the
-combination over the generators that raised the rank is unique, so answers
-depend only on the generators and their insertion order.
+as sparse {column: value} rows, each stored row pivoting on its smallest
+column or, given a column order, its first.  Untracked, it keeps the unique
+reduced row echelon basis, which rref reads off.  Tracked, it is a row
+echelon factor that never rewrites a stored row: each row records how its
+generator was reduced, and a reduce turns that record into the target's
+exact combination of the inserted generators, which is what turns a
+membership decision into a re-verifiable certificate.  Rank, whether a
+residual is zero, and the combination over the generators that raised the
+rank (it is unique) depend only on the generators and their insertion order.
 
 Every row operation, on a reduced vector, a stored row or a combination
 record, is one call of _sub_multiple, the only inner loop that depends on
@@ -21,9 +21,11 @@ ordered, hashable column keys work).
 
 A Span holds fixed generators as sparse rows over one field together with
 the tracked echelons its solves have built, one per prime, each packed
-(Echelon.pack) to what a reduce reads.  It is the only generator input of a
-span solve: a caller that solves many targets against one span passes the
-same Span each time, and each echelon is built once.
+(Echelon.pack) to what a reduce reads; their order puts first the columns
+the fewest generators hold, which keeps the factor sparse (Markowitz 1957).
+It is the only generator input of a span solve: a caller that solves many
+targets against one span passes the same Span each time, and each echelon is
+built once.
 
 Over GF(p) an Echelon's rows and records are raw ints in [0, p), as in
 modular elimination generally; over the rationals they are Fractions.
@@ -43,8 +45,10 @@ certificate changes.
 from __future__ import annotations
 
 from array import array
+from collections import Counter, UserDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import isqrt
@@ -106,7 +110,7 @@ class Span:
         state = self._echelons.get(field.p)
         if state is None:
             lifting = not self.field.characteristic
-            ech = state = Echelon(field, track=True)
+            ech = state = self._tracked(field)
             try:
                 for row in self.rows:
                     if not ech.insert(row) and lifting:
@@ -120,6 +124,12 @@ class Span:
                 ech.pack()
             self._echelons[field.p] = state
         return state
+
+    def _tracked(self, field):
+        """An empty tracked Echelon over field whose order ranks columns by
+        how many rows hold them, ties to the smaller column."""
+        counts = Counter(c for row in self.rows for c in row)
+        return Echelon(field, track=True, order={c: (n, c) for c, n in counts.items()})
 
 
 def rref(rows: Sequence[Sequence], field=QQ) -> Tuple[List[Tuple], Tuple[int, ...], int]:
@@ -148,10 +158,11 @@ class Echelon:
     """Incremental row echelon basis of sparse rows, in one of two forms.
 
     Rows are sparse column->value mappings.  Each stored row has a 1 at its
-    pivot, which is its smallest column, and a 0 at the pivot of every row
-    stored before it.  Both forms give the same pivots, rank and residuals:
-    a residual modulo the span is supported off the pivot columns, and that
-    makes it unique.
+    pivot, which is its smallest column or, given order (a {column: rank}
+    map over every generator's columns), its least-ranked one, and a 0 at
+    the pivot of every row stored before it.  Both forms give the same
+    pivots, rank and residuals: a residual modulo the span is supported off
+    the pivot columns, and that makes it unique.
 
     Untracked (the default), each insert also back-substitutes the new pivot
     into the stored rows, so they always form the unique reduced row echelon
@@ -171,11 +182,13 @@ class Echelon:
     unique combination over the generators that raised the rank.
     """
 
-    def __init__(self, field=QQ, track: bool = False):
+    def __init__(self, field=QQ, track: bool = False, order: Optional[Dict] = None):
         self.field = field
         self.track = track
+        self.order = order
         self.p = field.characteristic  # 0 over the rationals
         self.rows: List[Dict] = []
+        self.pivots: List = []  # row i's pivot column
         self.pivot_rows: Dict[int, int] = {}
         self.col_rows: Dict[int, set] = {}
         self.gens: List[int] = []
@@ -203,37 +216,36 @@ class Echelon:
     def reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
         """Residual of vec modulo the current row space, plus the generator
         combination used: vec == residual + sum(combo[g] * generator_g).
-        The combination is empty on an untracked echelon."""
+        The combination is empty untracked and built when first read."""
         residual, mults = self._reduce(self._entries(vec))
-        combo = self._combination(mults) if self.track else {}
         coerce = self.field.coerce
         return ({c: coerce(v) for c, v in residual.items()},
-                {g: coerce(v) for g, v in combo.items()})
+                _Combination(self, mults) if self.track else {})
 
     def _reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
         """reduce on a vector already in the stored representation, in place:
         the residual and the multiplier of each stored row taken off it.
 
-        Pivot columns are visited in increasing order through a heap, which
-        also takes the pivots a subtracted row brings in; only the rows of a
-        tracked echelon can hold another row's pivot.
+        Stored rows are visited in increasing order through a heap, which
+        also takes the rows whose pivots a subtracted row brings in; row i is
+        0 at the pivots of the rows before it, whatever the pivot rule, so no
+        cleared pivot comes back.
         """
-        pivot_rows, rows, p = self.pivot_rows, self.rows, self.p
-        heap = [c for c in vec if c in pivot_rows]
+        pivot_rows, pivots, rows, p = self.pivot_rows, self.pivots, self.rows, self.p
+        heap = [pivot_rows[c] for c in vec if c in pivot_rows]
         heapify(heap)
         added = [] if self.track else None
         mults: Dict = {}
         while heap:
-            col = heappop(heap)
-            mult = vec.get(col)  # the row's 1 at col clears it
+            ridx = heappop(heap)
+            mult = vec.get(pivots[ridx])  # the row's 1 at its pivot clears it
             if mult:
-                ridx = pivot_rows[col]
                 mults[ridx] = mult
                 _sub_multiple(vec, mult, rows[ridx], p, added)
                 if added:
                     for c in added:
                         if c in pivot_rows:
-                            heappush(heap, c)
+                            heappush(heap, pivot_rows[c])
                     added.clear()
         return vec, mults
 
@@ -254,11 +266,13 @@ class Echelon:
     def pack(self) -> None:
         """Keep only what reduce reads, packed in arrays; no insert may follow.
 
-        Stored rows and the record go flat into arrays (keys must be ints)
-        and col_rows is dropped.
+        Stored rows, their pivots and the record go flat into arrays (keys
+        must be ints); col_rows and the column order are dropped.
         """
         p = self.p
         self.rows = _PackedRows(self.rows, p)
+        self.pivots = array("I", self.pivots)
+        self.order = None
         self.gens = array("I", self.gens)
         self.invs = _packed_values(self.invs, p)
         self.steps = _PackedRows(self.steps, p)
@@ -271,7 +285,7 @@ class Echelon:
         residual, mults = self._reduce(self._entries(vec))
         if not residual:
             return False
-        pivot = min(residual)
+        pivot = min(residual, key=self.order.__getitem__ if self.order else None)
         lead = residual[pivot]
         p = self.p
         if p:
@@ -300,8 +314,23 @@ class Echelon:
                 if col != pivot:
                     col_rows.setdefault(col, set()).add(ridx)
         self.rows.append(row)
+        self.pivots.append(pivot)
         self.pivot_rows[pivot] = ridx
         return True
+
+
+class _Combination(UserDict):
+    """A tracked reduce's generator combination: its data is built from the
+    row multipliers by Echelon._combination when first read."""
+
+    def __init__(self, echelon: Echelon, mults: Dict):
+        self._pending = echelon, mults
+
+    @cached_property
+    def data(self) -> Dict:
+        echelon, mults = self._pending
+        coerce = echelon.field.coerce
+        return {g: coerce(v) for g, v in echelon._combination(mults).items()}
 
 
 def _packed_values(values: Sequence, p: int):
@@ -383,7 +412,7 @@ def solve_in_span(target: Sequence, span: Span) -> Optional[SpanCertificate]:
         decided, cert = _solve_modular(target, goal, span)
         if decided:
             return cert
-        ech = Echelon(field, track=True)
+        ech = span._tracked(field)
         for row in span.rows:
             ech.insert(row)
         residual, combo = ech.reduce(goal)

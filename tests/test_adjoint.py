@@ -484,6 +484,23 @@ def test_a_bundle_builds_its_image_span_once(monkeypatch):
     assert "image_span" not in repr(bundle)
 
 
+def test_the_image_span_factor_is_sparser_in_its_column_order():
+    """A Span's echelon pivots first on the columns the fewest generators
+    hold.  On the Fermat quintic threefold's image span over GF(32003)
+    (seed 0, trial 0) its stored rows hold about half the entries of a
+    factor pivoting on each row's smallest column, at the same rank."""
+    field = PrimeField(32003)
+    bundle, _ = sample_bundle(Hypersurface(fermat(5, 5, field)), seed=0, trial=0)
+    span, _ = adjoint._image_span(bundle)
+    default = Echelon(field, track=True)
+    for row in span.rows:
+        default.insert(row)
+    ordered = span._echelon(field)
+    assert ordered.rank == default.rank == len(span) == 95
+    stored, default_stored = len(ordered.rows.keys), sum(map(len, default.rows))
+    assert stored < 0.6 * default_stored  # 10497 against 19865 entries
+
+
 @pytest.mark.parametrize("field", ["q", "p:32003"])
 def test_torelli_reports_are_the_same_on_a_warm_hypersurface(field, monkeypatch):
     """Cached bundles and image spans change no byte of a torelli report."""

@@ -17,6 +17,7 @@ from adjtorelli.exactla import (
     solve_in_span,
 )
 from adjtorelli.fields import QQ, PrimeField, PrimeFieldElement
+from adjtorelli.jacobian import pairing_matrix
 from adjtorelli.polyring import monomial_basis
 
 F = Fraction
@@ -344,6 +345,33 @@ def test_tracked_and_untracked_echelons_agree(stream):
             col: v for col, v in target.items() if v}
 
 
+@settings(max_examples=200, deadline=None)
+@given(echelon_streams(), st.randoms(use_true_random=False))
+def test_a_column_order_changes_no_verdict_or_combination(stream, rng):
+    """A tracked echelon pivoting in a random column order gives the default
+    one's insert verdicts and rank, a residual that is zero exactly when the
+    default one's is, and the same combination for members; each of its
+    residuals is 0 at its own pivots."""
+    field, gens, targets, pack = stream
+    columns = sorted({c for gen in gens for c in gen})
+    rng.shuffle(columns)
+    ordered = Echelon(field, track=True, order={c: i for i, c in enumerate(columns)})
+    default = Echelon(field, track=True)
+    for gen in gens:
+        assert ordered.insert(gen) == default.insert(gen)
+    assert ordered.rank == default.rank
+    if pack:
+        ordered.pack()
+        default.pack()
+    for target in targets:
+        residual, combo = ordered.reduce(target)
+        default_residual, default_combo = default.reduce(target)
+        assert (not residual) == (not default_residual)
+        assert not set(residual) & set(ordered.pivot_rows)
+        if not residual:
+            assert dict(combo) == dict(default_combo)
+
+
 # ----- span solves over Q decided modulo primes ----------------------------
 
 P0, P1 = SPAN_PRIMES[:2]
@@ -561,6 +589,29 @@ def test_a_span_refuses_a_target_of_another_dimension_or_field():
         solve_in_span([GF7.one, GF7.zero], span)
     with pytest.raises(ValueError):
         solve_in_span([GF7.one, GF7.zero], Span([{0: 1}], 2, PrimeField(11)))
+
+
+def test_only_a_read_combination_runs_the_backward_pass(fermat_quartic, monkeypatch):
+    """A "no" span solve, over GF(p) or decided modulo a prime over Q, and
+    pairing_matrix read only residuals: neither runs Echelon._combination;
+    a "yes" solve runs it once."""
+    calls = [0]
+    combination = Echelon._combination
+
+    def counting(self, mults):
+        calls[0] += 1
+        return combination(self, mults)
+
+    monkeypatch.setattr(Echelon, "_combination", counting)
+    spans = {field: as_span([[field.coerce(v) for v in g] for g in ([1, 2, 0], [0, 1, 3])],
+                            3, field) for field in (QQ, GF7)}
+    for field, span in spans.items():
+        assert solve_in_span([field.zero, field.zero, field.one], span) is None
+    assert calls[0] == 0
+    assert solve_in_span([GF7.coerce(v) for v in (1, 3, 3)], spans[GF7]) is not None
+    assert calls[0] == 1
+    pairing_matrix(fermat_quartic, 4)
+    assert calls[0] == 1
 
 
 @pytest.mark.parametrize("p", [7, 2 ** 61 - 1, 2 ** 89 - 1])
