@@ -1,11 +1,11 @@
 """Exact coefficient fields: the rationals and odd prime fields.
 
 Rational arithmetic uses fractions.Fraction directly.  Prime-field elements
-are small wrapper objects supporting the usual operators, so polynomial code
-stays field-agnostic: it only ever adds, multiplies, divides and truth-tests
-coefficients.  The one exception is exactla.Echelon, whose GF(p) rows are
-raw residues: it meets elements only through PrimeField.coerce on the way in
-and hands elements back on the way out.
+are small wrapper objects supporting the usual operators; they are what
+polynomials, reports and certificates hold.  The hot loops do not compute
+with them: exactla.Echelon's GF(p) rows and polyring's arithmetic loops work
+on raw residues, meeting elements only on the way in (PrimeField.coerce, or
+an element's value) and building them again on the way out.
 """
 
 from __future__ import annotations

@@ -5,6 +5,13 @@ polynomial maps monomials to nonzero field elements; the zero polynomial has
 an empty term map, so equal polynomials always have identical term maps.
 The canonical term order is graded lexicographic with x0 > x1 > ... > xN.
 
+Arithmetic loops (product, sum, division, evaluation on a line) run on raw
+coefficient values, like exactla.Echelon's rows: residues over GF(p), which
+are reduced mod p once per result term, and the Fractions themselves over
+the rationals.  Each operation has one loop for both fields; field elements
+appear only at the edge, in Polynomial.terms.  Results of arithmetic on
+valid polynomials skip the public constructor's checks of outside input.
+
 poly_divmod is the one division loop.  The gcd of homogeneous polynomials
 solves one linear relation on the package's one elimination primitive,
 exactla.Echelon.  Graded pieces and powers stay inside the size budgets
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Optional, Tuple
 
 from .errors import (
@@ -26,7 +34,7 @@ from .errors import (
     VariableCountMismatchError,
 )
 from .exactla import Echelon
-from .fields import QQ
+from .fields import QQ, PrimeFieldElement
 
 Monomial = Tuple[int, ...]
 
@@ -42,7 +50,7 @@ MAX_COEFF_BITS = 14_000
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def grlex_key(mono: Monomial):
@@ -97,25 +105,32 @@ def basis_index(nvars: int, k: int) -> dict:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over an exact field."""
+    """Immutable sparse polynomial over an exact field.
+
+    The constructor checks every monomial and coerces every coefficient into
+    the field; results of arithmetic are built by _trusted, which does not.
+    """
 
     __slots__ = ("nvars", "field", "terms")
 
     def __init__(self, nvars: int, terms, field=QQ):
         cleaned = {}
         for mono, coeff in dict(terms).items():
-            mono = tuple(mono)
-            if len(mono) != nvars:
-                raise VariableCountMismatchError(
-                    f"monomial {mono} has {len(mono)} exponents, expected {nvars}"
-                )
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in {mono}")
+            mono = _checked_monomial(mono, nvars)
+            coeff = field.coerce(coeff)
             if coeff:
                 cleaned[mono] = coeff
         self.nvars = nvars
         self.field = field
         self.terms = cleaned
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict, field) -> "Polynomial":
+        """A polynomial on terms already valid: nvars-long exponent tuples
+        with no negative entry, mapped to nonzero elements of field."""
+        poly = cls.__new__(cls)
+        poly.nvars, poly.field, poly.terms = nvars, field, terms
+        return poly
 
     # ----- constructors -------------------------------------------------
 
@@ -186,15 +201,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        result = dict(self.terms)
-        for mono, coeff in other.terms.items():
+        result = _raw(self)
+        for mono, c in _raw(other).items():
             acc = result.get(mono)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                result[mono] = acc
-            else:
-                result.pop(mono, None)
-        return Polynomial(self.nvars, result, self.field)
+            result[mono] = c if acc is None else acc + c
+        return _from_raw(self.nvars, self.field, result)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -202,24 +213,21 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
-        return Polynomial(
+        return Polynomial._trusted(
             self.nvars, {m: -c for m, c in self.terms.items()}, self.field
         )
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_compatible(other)
+            right = _raw(other).items()
             result = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
+            for ma, ca in _raw(self).items():
+                for mb, cb in right:
                     mono = monomial_mul(ma, mb)
                     acc = result.get(mono)
-                    acc = ca * cb if acc is None else acc + ca * cb
-                    if acc:
-                        result[mono] = acc
-                    else:
-                        del result[mono]
-            return Polynomial(self.nvars, result, self.field)
+                    result[mono] = ca * cb if acc is None else acc + ca * cb
+            return _from_raw(self.nvars, self.field, result)
         try:
             scalar = self.field.coerce(other)
         except TypeError:
@@ -232,15 +240,15 @@ class Polynomial:
         scalar = self.field.coerce(scalar)
         if not scalar:
             return Polynomial.zero(self.nvars, self.field)
-        return Polynomial(
+        return Polynomial._trusted(
             self.nvars, {m: c * scalar for m, c in self.terms.items()}, self.field
         )
 
     def mul_monomial(self, mono: Monomial) -> "Polynomial":
         """Fast product with x^mono, sharing this polynomial's coefficient objects."""
-        mono = tuple(mono)
+        mono = _checked_monomial(mono, self.nvars)
         terms = {monomial_mul(m, mono): c for m, c in self.terms.items()}
-        return Polynomial(self.nvars, terms, self.field)
+        return Polynomial._trusted(self.nvars, terms, self.field)
 
     def __pow__(self, exponent: int):
         """Power by repeated squaring.  One that needs a graded piece past
@@ -330,6 +338,36 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _checked_monomial(mono, nvars: int) -> Monomial:
+    mono = tuple(mono)
+    if len(mono) != nvars:
+        raise VariableCountMismatchError(
+            f"monomial {mono} has {len(mono)} exponents, expected {nvars}"
+        )
+    if any(e < 0 for e in mono):
+        raise ValueError(f"negative exponent in {mono}")
+    return mono
+
+
+def _raw(poly: Polynomial) -> dict:
+    """A fresh {monomial: value} copy of poly's terms: residues over GF(p),
+    the Fractions themselves over Q."""
+    if poly.field.characteristic:
+        return {m: c.value for m, c in poly.terms.items()}
+    return dict(poly.terms)
+
+
+def _from_raw(nvars: int, field, raw: dict) -> Polynomial:
+    """The polynomial of {valid monomial: raw value}: over GF(p) each value
+    is reduced mod p once, and zeros are dropped."""
+    p = field.characteristic
+    if p:
+        terms = {m: PrimeFieldElement(r, p) for m, v in raw.items() if (r := v % p)}
+    else:
+        terms = {m: v for m, v in raw.items() if v}
+    return Polynomial._trusted(nvars, terms, field)
+
+
 # ----- module-level operations -------------------------------------------
 
 
@@ -375,23 +413,26 @@ def poly_divmod(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f._check_compatible(g)
+    p = f.field.characteristic
     lead = g.leading_monomial()
-    inv = g.field.one / g.terms[lead]
-    tail = [(m, c) for m, c in g.terms.items() if m != lead]
-    shift, zero = sum(lead), f.field.zero
-    work = dict(f.terms)  # cancelled terms stay as zeros until the end
+    tail = _raw(g)
+    lc = tail.pop(lead)
+    inv = pow(lc, -1, p) if p else 1 / lc
+    shift = sum(lead)
+    work = _raw(f)  # cancelled terms stay as zeros until the end
     quotient = {}
     for degree in range(max(map(sum, work), default=-1), shift - 1, -1):
         if not any(sum(m) == degree for m in work):
             continue
         for q_mono in monomial_basis(f.nvars, degree - shift):
             coeff = work.pop(monomial_mul(q_mono, lead), None)
-            if coeff:
-                quotient[q_mono] = q = coeff * inv
-                for m, c in tail:
+            if coeff and (q := coeff * inv % p if p else coeff * inv):
+                quotient[q_mono] = q
+                for m, c in tail.items():
                     target = monomial_mul(m, q_mono)
-                    work[target] = work.get(target, zero) - q * c
-    return Polynomial(f.nvars, quotient, f.field), Polynomial(f.nvars, work, f.field)
+                    acc = work.get(target)
+                    work[target] = -q * c if acc is None else acc - q * c
+    return _from_raw(f.nvars, f.field, quotient), _from_raw(f.nvars, f.field, work)
 
 
 def poly_div_exact(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
@@ -408,25 +449,22 @@ def _monic(p: Polynomial) -> Polynomial:
 
 
 def _evaluate_on_line(p: Polynomial, base, direction) -> Polynomial:
-    """p(base + t * direction) as a polynomial in the one variable t."""
-    field = p.field
-    out = [field.zero]
-    for mono, coeff in p.terms.items():
-        factor = [field.one]
+    """p(base + t * direction) as a polynomial in the one variable t; the
+    points are raw values (ints, or Fractions over Q)."""
+    out = []
+    for mono, coeff in _raw(p).items():
+        factor = [1]
         for b, v, e in zip(base, direction, mono):
             for _ in range(e):
-                grown = [field.zero] * (len(factor) + 1)
+                grown = [0] * (len(factor) + 1)
                 for k, c in enumerate(factor):
-                    if c:
-                        grown[k] = grown[k] + c * b
-                        grown[k + 1] = grown[k + 1] + c * v
+                    grown[k] += c * b
+                    grown[k + 1] += c * v
                 factor = grown
-        if len(factor) > len(out):
-            out.extend([field.zero] * (len(factor) - len(out)))
+        out.extend([0] * (len(factor) - len(out)))
         for k, c in enumerate(factor):
-            if c:
-                out[k] = out[k] + coeff * c
-    return Polynomial(1, {(k,): c for k, c in enumerate(out)}, field)
+            out[k] += coeff * c
+    return _from_raw(1, p.field, {(k,): c for k, c in enumerate(out)})
 
 
 def _uni_gcd_degree(a: Polynomial, b: Polynomial) -> int:
@@ -461,8 +499,8 @@ def multivariate_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     for _ in range(4):
         if not bound:
             break
-        base = [field.coerce(rng.randint(-9, 9)) for _ in range(a.nvars)]
-        direction = [field.coerce(rng.randint(-9, 9)) for _ in range(a.nvars)]
+        base = [rng.randint(-9, 9) for _ in range(a.nvars)]
+        direction = [rng.randint(-9, 9) for _ in range(a.nvars)]
         ua = _evaluate_on_line(a, base, direction)
         ub = _evaluate_on_line(b, base, direction)
         if ua.total_degree() == da and ub.total_degree() == db:

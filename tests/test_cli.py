@@ -394,6 +394,10 @@ GOLDEN_COMMANDS = {
     "golden_torelli_fermat5_gf32003_certificates.json": [
         "torelli", "fermat5.prob", "--field", "p:32003", "--trials", "2", "--seed", "0",
         "--json", "--certificates"],
+    # the quartic over GF(7), where residues wrap on almost every product
+    "golden_torelli_gf7_certificates.json": [
+        "torelli", "fermat4_trivial.prob", "--field", "p:7", "--trials", "3", "--seed", "0",
+        "--json", "--certificates"],
 }
 
 

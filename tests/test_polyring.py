@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adjtorelli.errors import (
@@ -11,7 +11,7 @@ from adjtorelli.errors import (
     HomogeneityError,
     VariableCountMismatchError,
 )
-from adjtorelli.fields import QQ, PrimeField
+from adjtorelli.fields import QQ, PrimeField, PrimeFieldElement
 from adjtorelli.polyring import (
     MAX_COEFF_BITS,
     MAX_PIECE_DIM,
@@ -24,6 +24,7 @@ from adjtorelli.polyring import (
     multivariate_gcd,
     poly_div_exact,
     poly_divmod,
+    _evaluate_on_line,
 )
 
 from conftest import fermat, random_homogeneous, x
@@ -243,6 +244,80 @@ def test_poly_divmod_identity_and_remainder_support(field, homogeneous, data):
     lead = g.leading_monomial()
     assert not any(all(a <= b for a, b in zip(lead, m)) for m in r.terms)
     assert poly_divmod(f + q * g, g)[1] == r  # the remainder is unique
+
+
+PRIMES = (7, 32003)
+
+
+def integer_terms(nvars=3, max_degree=3):
+    """Hypothesis strategy for {monomial: int} maps whose coefficients include
+    0, p, -1, p - 1 and other values that wrap modulo each of PRIMES."""
+    monos = [m for k in range(max_degree + 1) for m in monomial_basis(nvars, k)]
+    wrapping = [c for p in PRIMES for c in (p, -p, p - 1, p + 1, 2 * p, (p + 1) // 2)]
+    coeffs = st.one_of(st.integers(-9, 9), st.sampled_from(wrapping))
+    return st.dictionaries(st.sampled_from(monos), coeffs, max_size=6)
+
+
+def assert_canonical(poly, p):
+    """poly's terms are nonzero elements of GF(p), or Fractions when p is 0."""
+    for c in poly.terms.values():
+        if p:
+            assert isinstance(c, PrimeFieldElement) and c.modulus == p and 0 < c.value < p
+        else:
+            assert isinstance(c, Fraction) and c
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a_terms=integer_terms(), b_terms=integer_terms(),
+       scalar=st.sampled_from([0, 1, -1, 2, *PRIMES, PRIMES[0] + 3]),
+       mono=st.sampled_from(monomial_basis(3, 2)),
+       base=st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+       direction=st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+# (x0 + x1) * (x0 + (p - 1)*x1) has x0*x1 coefficient p: it cancels only mod p
+@example(a_terms={(1, 0, 0): 1, (0, 1, 0): 1}, b_terms={(1, 0, 0): 1, (0, 1, 0): 6},
+         scalar=7, mono=(1, 1, 0), base=[1, 2, 3], direction=[0, 1, -1])
+@example(a_terms={(1, 0, 0): 1, (0, 1, 0): 1}, b_terms={(1, 0, 0): 1, (0, 1, 0): 32002},
+         scalar=32003, mono=(0, 0, 2), base=[-1, 0, 9], direction=[9, 9, 9])
+def test_gfp_arithmetic_is_rational_arithmetic_reduced_mod_p(
+        p, a_terms, b_terms, scalar, mono, base, direction):
+    gf = PrimeField(p)
+    a_q, b_q = Polynomial(3, a_terms), Polynomial(3, b_terms)
+    a_p, b_p = Polynomial(3, a_terms, gf), Polynomial(3, b_terms, gf)
+
+    def agree(over_p, over_q):
+        assert_canonical(over_q, 0)
+        assert_canonical(over_p, p)
+        assert over_p == Polynomial(over_q.nvars, over_q.terms, gf)
+
+    agree(a_p * b_p, a_q * b_q)
+    agree(a_p + b_p, a_q + b_q)
+    agree(a_p - b_p, a_q - b_q)
+    agree(a_p.scale(scalar), a_q.scale(scalar))
+    agree(a_p.mul_monomial(mono), a_q.mul_monomial(mono))
+    on_line = _evaluate_on_line(a_q, base, direction)
+    agree(_evaluate_on_line(a_p, base, direction), on_line)
+    for t in (0, 1, -2):  # against evaluating a at the point base + t * direction
+        point = [b + t * v for b, v in zip(base, direction)]
+        assert sum(c * t ** m[0] for m, c in on_line.terms.items()) == sum(
+            c * prod(x ** e for x, e in zip(point, m)) for m, c in a_q.terms.items())
+    if b_q:  # b with its leading coefficient set to 1 divides over the integers
+        g_terms = {**b_terms, b_q.leading_monomial(): 1}
+        quotients = poly_divmod(a_p, Polynomial(3, g_terms, gf))
+        for over_p, over_q in zip(quotients, poly_divmod(a_q, Polynomial(3, g_terms))):
+            agree(over_p, over_q)
+
+
+def test_constructor_coerces_coefficients_into_the_field():
+    gf7 = PrimeField(7)
+    assert Polynomial(2, {(1, 0): 7}, gf7).is_zero()
+    assert Polynomial(2, {(1, 0): 10}, gf7) == Polynomial(2, {(1, 0): 3}, gf7)
+    assert Polynomial(2, {(1, 0): Fraction(1, 2)}, gf7) == Polynomial(2, {(1, 0): 4}, gf7)
+    assert type(Polynomial(2, {(1, 0): 2}).terms[(1, 0)]) is Fraction
+    with pytest.raises(TypeError):
+        Polynomial(2, {(1, 0): 0.5})
+    with pytest.raises(ZeroDivisionError):
+        Polynomial(2, {(1, 0): Fraction(1, 14)}, gf7)
 
 
 def test_poly_divmod_rejects_zero_divisor():
