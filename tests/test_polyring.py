@@ -300,7 +300,7 @@ def test_gfp_arithmetic_is_rational_arithmetic_reduced_mod_p(
     for t in (0, 1, -2):  # against evaluating a at the point base + t * direction
         point = [b + t * v for b, v in zip(base, direction)]
         assert sum(c * t ** m[0] for m, c in on_line.terms.items()) == sum(
-            c * prod(x ** e for x, e in zip(point, m)) for m, c in a_q.terms.items())
+            c * prod(xi ** e for xi, e in zip(point, m)) for m, c in a_q.terms.items())
     if b_q:  # b with its leading coefficient set to 1 divides over the integers
         g_terms = {**b_terms, b_q.leading_monomial(): 1}
         quotients = poly_divmod(a_p, Polynomial(3, g_terms, gf))
