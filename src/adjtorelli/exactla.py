@@ -21,16 +21,17 @@ ordered, hashable column keys work).
 
 A Span holds fixed generators as sparse rows over one field together with
 the tracked echelons its solves have built, one per prime, each packed
-(Echelon.pack) to what a reduce reads; their order puts first the columns
-the fewest generators hold, which keeps the factor sparse (Markowitz 1957).
-It is the only generator input of a span solve: a caller that solves many
-targets against one span passes the same Span each time, and each echelon is
-built once.
+(Echelon.pack) to what a reduce reads.  Their column order, sparsity_order,
+puts first the columns the fewest generators hold, which keeps the factor
+sparse (Markowitz 1957); jacobian.is_smooth orders its untracked echelon the
+same way.  A Span is the only generator input of a span solve: a caller that
+solves many targets against one span passes the same Span each time, and
+each echelon is built once.
 
 Over GF(p) an Echelon's rows and records are raw ints in [0, p), as in
 modular elimination generally; over the rationals they are Fractions.
 Values pass through field.coerce at insert and reduce, so callers hand in
-and get back field elements.
+field elements (or, over GF(p), raw ints) and get back field elements.
 
 Over the rationals solve_in_span first decides modulo the word-size primes
 SPAN_PRIMES.  When every generator raises the rank mod p the generators are
@@ -126,10 +127,15 @@ class Span:
         return state
 
     def _tracked(self, field):
-        """An empty tracked Echelon over field whose order ranks columns by
-        how many rows hold them, ties to the smaller column."""
-        counts = Counter(c for row in self.rows for c in row)
-        return Echelon(field, track=True, order={c: (n, c) for c, n in counts.items()})
+        """An empty tracked Echelon over field in the rows' sparsity_order."""
+        return Echelon(field, track=True, order=sparsity_order(self.rows.keys))
+
+
+def sparsity_order(columns) -> Dict:
+    """The column order {column: rank} that puts first the columns the
+    fewest rows hold, ties to the smaller column (Markowitz 1957); columns
+    lists the columns of every row, each once per row that holds it."""
+    return {c: (n, c) for c, n in Counter(columns).items()}
 
 
 def rref(rows: Sequence[Sequence], field=QQ) -> Tuple[List[Tuple], Tuple[int, ...], int]:
@@ -207,11 +213,13 @@ class Echelon:
         return tuple(c for c in range(dim) if c not in self.pivot_rows)
 
     def _entries(self, vec: Dict) -> Dict:
-        """A fresh copy of vec's nonzero entries in the stored representation."""
-        coerce = self.field.coerce
-        if not self.p:
+        """A fresh copy of vec's nonzero entries in the stored representation;
+        over GF(p) an int is taken as its residue."""
+        coerce, p = self.field.coerce, self.p
+        if not p:
             return {c: r for c, v in vec.items() if (r := coerce(v))}
-        return {c: r for c, v in vec.items() if (r := coerce(v).value)}
+        return {c: r for c, v in vec.items()
+                if (r := v % p if type(v) is int else coerce(v).value)}
 
     def reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
         """Residual of vec modulo the current row space, plus the generator

@@ -25,10 +25,11 @@ from .errors import (
     NotSmoothError,
     VariableCountMismatchError,
 )
-from .exactla import Echelon, rref
+from .exactla import Echelon, rref, sparsity_order
 from .polyring import (
     Monomial,
     Polynomial,
+    _raw,
     basis_index,
     monomial_basis,
     monomial_mul,
@@ -78,24 +79,36 @@ def _graded_piece(generators: Iterable, nvars: int, k: int, field) -> GradedPiec
     return GradedPiece(echelon, tuple(labels), quotient, k)
 
 
-def _multiples(polys, nvars: int, shift: int, k: int):
+def _multiples(polys, nvars: int, shift: int, k: int, dropped=()):
     """Labelled generators m * polys[j] for deg m = shift, monomial-major, as
-    sparse rows of S_k read straight off the terms of polys."""
+    sparse rows of S_k read straight off the raw terms of polys (residues
+    over GF(p)), without the columns in dropped."""
     if shift < 0:
         return
     shifts = monomial_basis(nvars, shift)  # before S_k: a budget error names it
     index = basis_index(nvars, k)
+    terms = [_raw(poly).items() for poly in polys]
     for mono in shifts:
-        for j, poly in enumerate(polys):
-            yield (j, mono), {index[monomial_mul(m, mono)]: c for m, c in poly.terms.items()}
+        for j, items in enumerate(terms):
+            yield (j, mono), {col: c for m, c in items
+                              if (col := index[monomial_mul(m, mono)]) not in dropped}
 
 
 def is_smooth(F: Polynomial):
     """Decide smoothness of the hypersurface F = 0 in exact arithmetic.
 
     The partials have no common projective zero exactly when the quotient by
-    the ideal they generate vanishes in degree (n+1)(d-2) + 1; the returned
-    witness is that dimension (0 for a smooth hypersurface).
+    the ideal they generate vanishes in degree k = (n+1)(d-2) + 1; the
+    returned witness is that dimension (0 for a smooth hypersurface).
+
+    A multiple m * dF/dx_j of a one-term partial is a scaled unit row, so its
+    column is pinned with no arithmetic: reducing by that row deletes the
+    column.  The other multiples, with the pinned columns dropped, go
+    monomial-major into an untracked Echelon that pivots first on the
+    columns the fewest of them hold (exactla.sparsity_order, counted off
+    the partials' terms), which cuts fill-in; no list of them is kept.  The
+    witness is dim S_k minus the pinned columns minus that rank; on a
+    Fermat F every column is pinned and nothing is eliminated.
     """
     d = F.homogeneous_degree()
     if d is None or d < 2:
@@ -103,10 +116,19 @@ def is_smooth(F: Polynomial):
     nvars = F.nvars
     partials = [F.partial(i) for i in range(nvars)]
     k = nvars * (d - 2) + 1
-    echelon = Echelon(F.field)
-    for _, row in _multiples(partials, nvars, k - (d - 1), k):
-        echelon.insert(row)
-    witness = comb(nvars - 1 + k, k) - echelon.rank
+    shift = k - (d - 1)
+    shifts = monomial_basis(nvars, shift)  # before S_k: a budget error names it
+    index = basis_index(nvars, k)
+    pinned = {index[monomial_mul(m, mono)] for f in partials if len(f.terms) == 1
+              for m in f.terms for mono in shifts}
+    others = [f for f in partials if len(f.terms) > 1]
+    # counting the pinned columns too leaves the order of the others as it is
+    echelon = Echelon(F.field, order=sparsity_order(
+        index[monomial_mul(m, mono)] for f in others for m in f.terms for mono in shifts))
+    for _, row in _multiples(others, nvars, shift, k, pinned):
+        if row:
+            echelon.insert(row)
+    witness = len(index) - len(pinned) - echelon.rank
     return witness == 0, witness
 
 

@@ -398,6 +398,11 @@ GOLDEN_COMMANDS = {
     "golden_torelli_gf7_certificates.json": [
         "torelli", "fermat4_trivial.prob", "--field", "p:7", "--trials", "3", "--seed", "0",
         "--json", "--certificates"],
+    # a non-Fermat threefold in P^4 over GF(32003), whose smoothness rows have
+    # several terms, so they go through the ordered echelon
+    "golden_torelli_sparse5_gf32003_certificates.json": [
+        "torelli", "sparse5.prob", "--field", "p:32003", "--trials", "2", "--seed", "0",
+        "--json", "--certificates"],
 }
 
 

@@ -236,6 +236,22 @@ def test_prime_field_echelon_creates_no_elements(monkeypatch):
     assert created[0] <= len(residual) + len(combo)
 
 
+@pytest.mark.parametrize("track", [False, True])
+def test_a_prime_field_echelon_takes_ints_as_residues(track):
+    """Over GF(p) an int entry is its residue mod p, as field.coerce reads
+    it; an int that p divides is no entry."""
+    field = PrimeField(7)
+    rows = [{0: 9, 1: -1, 2: 14}, {1: 7 ** 30 + 3, 3: -8}, {0: 2, 1: 6, 3: 1}]
+    ints, elements = Echelon(field, track=track), Echelon(field, track=track)
+    for row in rows:
+        assert ints.insert(row) == elements.insert(
+            {c: field.coerce(v) for c, v in row.items()})
+    assert ints.rows == elements.rows and ints.pivots == elements.pivots
+    assert all(0 <= v < 7 for row in ints.rows for v in row.values())
+    assert ints.reduce({2: 5, 3: -1})[0] == elements.reduce(
+        {2: field.coerce(5), 3: field.coerce(-1)})[0]
+
+
 def test_prime_field_echelon_rejects_other_modulus():
     field = PrimeField(32003)
     alien = {0: PrimeFieldElement(3, 7)}
@@ -370,6 +386,35 @@ def test_a_column_order_changes_no_verdict_or_combination(stream, rng):
         assert not set(residual) & set(ordered.pivot_rows)
         if not residual:
             assert dict(combo) == dict(default_combo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_streams(), st.randoms(use_true_random=False))
+def test_a_column_order_on_an_untracked_echelon_changes_no_verdict(stream, rng):
+    """An untracked echelon pivoting in a random column order gives the
+    default one's insert verdicts and rank and keeps its reduced form; each
+    residual is 0 at its pivots and differs from the target by a member."""
+    field, gens, targets, pack = stream
+    columns = sorted({c for gen in gens for c in gen})
+    rng.shuffle(columns)
+    ordered = Echelon(field, order={c: i for i, c in enumerate(columns)})
+    default = Echelon(field)
+    for gen in gens:
+        assert ordered.insert(gen) == default.insert(gen)
+    assert ordered.rank == default.rank
+    for i, row in enumerate(ordered.rows):
+        assert row[ordered.pivots[i]] == 1
+        assert not set(row) & (set(ordered.pivot_rows) - {ordered.pivots[i]})
+    if pack:
+        ordered.pack()
+        default.pack()
+    for target in targets:
+        residual, _ = ordered.reduce(target)
+        assert not set(residual) & set(ordered.pivot_rows)
+        difference = {c: target.get(c, field.zero) - residual.get(c, field.zero)
+                      for c in set(target) | set(residual)}
+        assert not default.reduce(difference)[0]
+        assert (not residual) == (not default.reduce(target)[0])
 
 
 # ----- span solves over Q decided modulo primes ----------------------------

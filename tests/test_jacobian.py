@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjtorelli.errors import (
     FieldConstraintError,
@@ -11,6 +13,7 @@ from adjtorelli.errors import (
 from adjtorelli.fields import QQ, PrimeField
 from adjtorelli.jacobian import (
     Hypersurface,
+    _multiples,
     deformation_class,
     graded_membership,
     hilbert_expected,
@@ -58,6 +61,78 @@ def test_fermat_cubic_smooth():
 def test_is_smooth_rejects_inhomogeneous():
     with pytest.raises(HomogeneityError):
         is_smooth(x(0) ** 4 + x(1))
+
+
+def plain_smoothness_witness(F):
+    """dim S_k minus the rank of every multiple m * dF/dx_j, inserted in
+    generator order into an Echelon with no column order and no pinning."""
+    d, nvars = F.homogeneous_degree(), F.nvars
+    k = nvars * (d - 2) + 1
+    index = basis_index(nvars, k)
+    partials = [F.partial(j) for j in range(nvars)]
+    echelon = Echelon(F.field)
+    for mono in monomial_basis(nvars, k - d + 1):
+        for partial in partials:
+            echelon.insert({index[monomial_mul(m, mono)]: c for m, c in partial.terms.items()})
+    return len(index) - echelon.rank
+
+
+@st.composite
+def smoothness_cases(draw):
+    """A small F of one of four shapes: diagonal (every partial has one
+    term), x0^d + x1^d plus a form in the other variables, a form missing
+    the last variable (a zero partial), or a form singular at [0:..:0:1]."""
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(32003)]))
+    nvars = draw(st.integers(2, 5))
+    d = draw(st.integers(2, {2: 5, 3: 5, 4: 4, 5: 3}[nvars]))
+    basis = monomial_basis(nvars, d)
+    nonzero = st.integers(1, 6).flatmap(lambda a: st.sampled_from((a, -a)))
+    shape = draw(st.sampled_from(["diagonal", "mixed", "missing", "singular"]))
+    if shape == "diagonal":
+        terms = {tuple(d * (i == j) for i in range(nvars)): draw(nonzero)
+                 for j in range(nvars)}
+    else:
+        allowed = {
+            "mixed": [m for m in basis if m[0] == m[1] == 0],
+            "missing": [m for m in basis if m[-1] == 0],
+            "singular": [m for m in basis if m[-1] < d - 1],
+        }[shape]
+        chosen = draw(st.lists(st.sampled_from(allowed), min_size=shape != "mixed",
+                               max_size=6, unique=True)) if allowed else []
+        terms = {m: draw(nonzero) for m in chosen}
+        if shape == "mixed":  # x0^d + x1^d + g(x2..xn), g often with its own powers
+            for j in range(nvars):
+                if j < 2 or draw(st.booleans()):
+                    terms[tuple(d * (i == j) for i in range(nvars))] = draw(nonzero)
+    return Polynomial(nvars, terms, field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(smoothness_cases())
+def test_smoothness_witness_matches_a_plain_elimination(F):
+    """Pinned one-term columns and the sparsity-ordered echelon give the
+    witness of inserting every multiple into a plain echelon."""
+    smooth, witness = is_smooth(F)
+    assert witness == plain_smoothness_witness(F)
+    assert smooth == (witness == 0)
+
+
+def test_multiples_are_raw_residues_over_a_prime_field():
+    """Rows of multiples over GF(p) hold ints in [0, p), not field elements."""
+    field = PrimeField(7)
+    F = fermat(3, 4, field) + 3 * x(0, 3, field) * x(1, 3, field) ** 3
+    partials = [F.partial(i) for i in range(3)]
+    values = [v for _, row in _multiples(partials, 3, 2, 5) for v in row.values()]
+    assert values and all(type(v) is int and 0 < v < 7 for v in values)
+
+
+def test_fermat_smoothness_inserts_nothing(monkeypatch):
+    """On the Fermat (4,5) over GF(32003) every partial has one term, so
+    every column is pinned and no echelon insert is made."""
+    inserts = []
+    monkeypatch.setattr(Echelon, "insert", lambda self, vec: inserts.append(vec))
+    assert is_smooth(fermat(5, 5, PrimeField(32003))) == (True, 0)
+    assert inserts == []
 
 
 def test_hypersurface_rejects_singular():
