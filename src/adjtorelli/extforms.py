@@ -27,7 +27,9 @@ contraction iota_E of a constant form:
 
 One product loop, _wedge_terms, multiplies {sorted multi-index: Polynomial}
 maps: wedge runs it on forms, and relift_expand on free-module vectors, whose
-basis vectors e_b take the place of dx_b.
+basis vectors e_b take the place of dx_b.  It and euler_contract add up each
+coefficient on raw values (residues over GF(p), as in polyring) and build its
+Polynomial once.
 """
 
 from __future__ import annotations
@@ -48,7 +50,16 @@ from .errors import (
 )
 from .exactla import Span, solve_in_span
 from .fields import QQ
-from .polyring import Polynomial, basis_index, monomial_basis, poly_div_exact, slot_polynomials
+from .polyring import (
+    Polynomial,
+    _from_raw,
+    _raw,
+    basis_index,
+    monomial_basis,
+    monomial_mul,
+    poly_div_exact,
+    slot_polynomials,
+)
 
 
 def _merge_indices(left: Tuple[int, ...], right: Tuple[int, ...]):
@@ -84,18 +95,37 @@ def _add_into(terms: dict, key: Tuple[int, ...], poly: Polynomial) -> None:
         terms[key] = acc
 
 
-def _wedge_terms(left: dict, right: dict) -> Dict[Tuple[int, ...], Polynomial]:
+def _from_sums(sums: dict, nvars: int, field) -> Dict[Tuple[int, ...], Polynomial]:
+    """{multi-index: Polynomial} of {multi-index: raw {monomial: value}} sums,
+    without the coefficients that vanish."""
+    built = ((idxs, _from_raw(nvars, field, raw)) for idxs, raw in sums.items())
+    return {idxs: poly for idxs, poly in built if poly}
+
+
+def _wedge_terms(left: dict, right: dict, nvars: int, field) -> Dict[Tuple[int, ...], Polynomial]:
     """Exterior product of {sorted multi-index: Polynomial} maps.
 
     The one product loop: it wedges forms and free-module vectors alike.
+    Each merged multi-index adds its products into one raw {monomial: value}
+    dict (polyring._raw), the wedge sign folded into the left coefficient,
+    and its Polynomial is built once, at the end.
     """
-    result: Dict[Tuple[int, ...], Polynomial] = {}
+    right = [(ib, _raw(pb).items()) for ib, pb in right.items()]
+    sums: Dict[Tuple[int, ...], dict] = {}
     for ia, pa in left.items():
-        for ib, pb in right.items():
+        plus = _raw(pa).items()
+        minus = [(m, -c) for m, c in plus]
+        for ib, items in right:
             merged, sign = _merge_indices(ia, ib)
-            if merged is not None:
-                _add_into(result, merged, pa * pb if sign > 0 else -(pa * pb))
-    return result
+            if merged is None:
+                continue
+            acc = sums.setdefault(merged, {})
+            for ma, ca in plus if sign > 0 else minus:
+                for mb, cb in items:
+                    mono = monomial_mul(ma, mb)
+                    value = acc.get(mono)
+                    acc[mono] = ca * cb if value is None else value + ca * cb
+    return _from_sums(sums, nvars, field)
 
 
 class ExtForm:
@@ -231,7 +261,7 @@ def wedge(a: ExtForm, b: ExtForm) -> ExtForm:
         raise GradeError(
             f"wedge grade {grade} exceeds {a.nvars} available differentials"
         )
-    return ExtForm(a.nvars, grade, _wedge_terms(a.terms, b.terms), a.field)
+    return ExtForm(a.nvars, grade, _wedge_terms(a.terms, b.terms, a.nvars, a.field), a.field)
 
 
 def wedge_all(forms: Sequence[ExtForm]) -> ExtForm:
@@ -249,15 +279,18 @@ def euler_contract(a: ExtForm) -> ExtForm:
     """
     if a.grade < 1:
         raise GradeError("cannot contract a grade-0 form")
-    result: Dict[Tuple[int, ...], Polynomial] = {}
+    units = [tuple(int(i == k) for i in range(a.nvars)) for k in range(a.nvars)]
+    sums: Dict[Tuple[int, ...], dict] = {}
     for idxs, poly in a.terms.items():
+        plus = _raw(poly).items()
+        minus = [(m, -c) for m, c in plus]
         for pos, k in enumerate(idxs):
-            reduced = idxs[:pos] + idxs[pos + 1:]
-            contrib = poly.mul_monomial(
-                tuple(1 if i == k else 0 for i in range(a.nvars))
-            )
-            _add_into(result, reduced, -contrib if pos % 2 else contrib)
-    return ExtForm(a.nvars, a.grade - 1, result, a.field)
+            acc = sums.setdefault(idxs[:pos] + idxs[pos + 1:], {})
+            for m, c in minus if pos % 2 else plus:
+                mono = monomial_mul(m, units[k])
+                value = acc.get(mono)
+                acc[mono] = c if value is None else value + c
+    return ExtForm(a.nvars, a.grade - 1, _from_sums(sums, a.nvars, a.field), a.field)
 
 
 def _contracted_unit(idxs: Tuple[int, ...], nvars: int, field) -> ExtForm:
@@ -404,7 +437,8 @@ def _vector_add(u: Sequence[Polynomial], v: Sequence[Polynomial], sign: int):
 def _vector_wedge(vectors: Sequence[Sequence[Polynomial]], nvars: int, field):
     """Wedge of free-module vectors as {basis subset: Polynomial}."""
     return reduce(
-        lambda acc, vector: _wedge_terms(acc, {(b,): p for b, p in enumerate(vector) if p}),
+        lambda acc, vector: _wedge_terms(
+            acc, {(b,): p for b, p in enumerate(vector) if p}, nvars, field),
         vectors,
         {(): Polynomial.constant(nvars, 1, field)},
     )

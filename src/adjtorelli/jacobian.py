@@ -31,6 +31,7 @@ from .polyring import (
     Polynomial,
     _raw,
     basis_index,
+    check_piece_dim,
     monomial_basis,
     monomial_mul,
     poly_divmod,
@@ -94,6 +95,23 @@ def _multiples(polys, nvars: int, shift: int, k: int, dropped=()):
                               if (col := index[monomial_mul(m, mono)]) not in dropped}
 
 
+def _pinned_count(monos, nvars: int, k: int) -> int:
+    """How many degree-k monomials one of the distinct monomials monos
+    divides: inclusion-exclusion over the lcms of nonempty subsets, each lcm
+    of degree e <= k adding +-C(nvars-1+k-e, nvars-1), the number of
+    degree-k monomials it divides.  An lcm only grows as a subset does, so a
+    subset whose lcm passes degree k is not extended."""
+    def count(lcm, start, sign):
+        total = 0
+        for j in range(start, len(monos)):
+            joined = tuple(map(max, lcm, monos[j]))
+            e = sum(joined)
+            if e <= k:
+                total += sign * comb(nvars - 1 + k - e, nvars - 1) + count(joined, j + 1, -sign)
+        return total
+    return count((0,) * nvars, 0, 1)
+
+
 def is_smooth(F: Polynomial):
     """Decide smoothness of the hypersurface F = 0 in exact arithmetic.
 
@@ -107,8 +125,17 @@ def is_smooth(F: Polynomial):
     monomial-major into an untracked Echelon that pivots first on the
     columns the fewest of them hold (exactla.sparsity_order, counted off
     the partials' terms), which cuts fill-in; no list of them is kept.  The
-    witness is dim S_k minus the pinned columns minus that rank; on a
-    Fermat F every column is pinned and nothing is eliminated.
+    witness is dim S_k minus the pinned columns minus that rank.
+
+    When no partial has two or more terms (a Fermat F, say), nothing is
+    eliminated and no pinned column needs dropping, so the pinned columns
+    are only counted (_pinned_count), never listed.  The count never costs
+    more than the list: with m distinct one-term monomials, listing forms
+    m * dim S_s products for s = k - d + 1 = n(d-2), and counting forms at
+    most one lcm per subset, 2^m - 1.  When s = 0 (d = 2, or n = 0) each
+    monomial pins only itself, so the count is m and forms no lcm.  For
+    d >= 3, s >= n, so dim S_s >= C(2n, n) >= 2^n, and m <= n + 1 makes
+    m * 2^n >= 2^m - 1.
     """
     d = F.homogeneous_degree()
     if d is None or d < 2:
@@ -117,18 +144,24 @@ def is_smooth(F: Polynomial):
     partials = [F.partial(i) for i in range(nvars)]
     k = nvars * (d - 2) + 1
     shift = k - (d - 1)
-    shifts = monomial_basis(nvars, shift)  # before S_k: a budget error names it
-    index = basis_index(nvars, k)
-    pinned = {index[monomial_mul(m, mono)] for f in partials if len(f.terms) == 1
-              for m in f.terms for mono in shifts}
+    check_piece_dim(nvars, shift)  # before S_k: a budget error names it
+    check_piece_dim(nvars, k)
+    ones = list(dict.fromkeys(m for f in partials if len(f.terms) == 1 for m in f.terms))
     others = [f for f in partials if len(f.terms) > 1]
-    # counting the pinned columns too leaves the order of the others as it is
-    echelon = Echelon(F.field, order=sparsity_order(
-        index[monomial_mul(m, mono)] for f in others for m in f.terms for mono in shifts))
-    for _, row in _multiples(others, nvars, shift, k, pinned):
-        if row:
-            echelon.insert(row)
-    witness = len(index) - len(pinned) - echelon.rank
+    if not others:  # nothing to eliminate and no column to drop
+        rank = _pinned_count(ones, nvars, k) if shift else len(ones)
+    else:
+        shifts = monomial_basis(nvars, shift)
+        index = basis_index(nvars, k)
+        pinned = {index[monomial_mul(m, mono)] for m in ones for mono in shifts}
+        # counting the pinned columns too leaves the order of the others as it is
+        echelon = Echelon(F.field, order=sparsity_order(
+            index[monomial_mul(m, mono)] for f in others for m in f.terms for mono in shifts))
+        for _, row in _multiples(others, nvars, shift, k, pinned):
+            if row:
+                echelon.insert(row)
+        rank = len(pinned) + echelon.rank
+    witness = comb(nvars - 1 + k, k) - rank
     return witness == 0, witness
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adjtorelli.adjoint import sample_bundle
 from adjtorelli.errors import (
@@ -404,6 +406,166 @@ def test_vector_wedge_matches_the_form_wedge():
         ]
         forms = [ExtForm(nvars, 1, {(b,): p for b, p in enumerate(v)}) for v in vectors]
         assert _vector_wedge(vectors, nvars, QQ) == wedge_all(forms).terms
+
+
+# ----- raw accumulation against a per-pair reference -------------------------
+
+GF7, GF32003 = PrimeField(7), PrimeField(32003)
+# 3 * 5 - 1 = 14 and 2 * 16002 - 1 = 32003: sums of products of these cancel
+# modulo 7 or 32003 but not over Q
+COEFFS = [1, -1, 2, 3, 4, 5, 16001, 16002, -16002]
+
+
+def reference_wedge(left, right):
+    """The exterior product with one Polynomial per pair of terms and one per
+    partial sum, each sign read off the inversions of the concatenated indices."""
+    result = {}
+    for ia, pa in left.items():
+        for ib, pb in right.items():
+            if set(ia) & set(ib):
+                continue
+            product = pa * pb
+            if sum(a > b for a in ia for b in ib) % 2:
+                product = -product
+            merged = tuple(sorted(ia + ib))
+            total = result.pop(merged, Polynomial.zero(pa.nvars, pa.field)) + product
+            if total:
+                result[merged] = total
+    return result
+
+
+def reference_contract(terms, nvars):
+    """iota_E term by term: x_k times the coefficient, dx_k removed with sign
+    (-1)^(its position), one Polynomial per contribution and partial sum."""
+    result = {}
+    for idxs, poly in terms.items():
+        for pos, k in enumerate(idxs):
+            contrib = poly * Polynomial.variable(nvars, k, poly.field)
+            reduced = idxs[:pos] + idxs[pos + 1:]
+            total = result.pop(reduced, Polynomial.zero(nvars, poly.field))
+            total = total - contrib if pos % 2 else total + contrib
+            if total:
+                result[reduced] = total
+    return result
+
+
+def residues(terms, field):
+    """{multi-index: {monomial: value}} of a map over Q with integer
+    coefficients, read in field: reduced mod p, zeros and empty indices dropped."""
+    p = field.characteristic
+    out = {}
+    for idxs, poly in terms.items():
+        kept = {m: r for m, c in poly.terms.items() if (r := int(c) % p if p else c)}
+        if kept:
+            out[idxs] = kept
+    return out
+
+
+def values(terms):
+    """{multi-index: {monomial: value}} of a map, residues as ints."""
+    return {idxs: {m: getattr(c, "value", c) for m, c in poly.terms.items()}
+            for idxs, poly in terms.items()}
+
+
+def forms_over(spec, nvars, field):
+    grade, terms = spec
+    return ExtForm(nvars, grade, {i: Polynomial(nvars, t, field) for i, t in terms.items()},
+                   field)
+
+
+@st.composite
+def form_specs(draw, nvars, min_grade=0):
+    """(grade, {multi-index: {monomial: int}}): a form of one coefficient
+    degree, with at most three terms of at most three monomials each."""
+    grade = draw(st.integers(min_grade, nvars))
+    monos = monomial_basis(nvars, draw(st.integers(0, 2)))
+    keys = draw(st.lists(st.sampled_from(list(combinations(range(nvars), grade))),
+                         max_size=3, unique=True))
+    return grade, {key: draw(st.dictionaries(st.sampled_from(monos), st.sampled_from(COEFFS),
+                                             max_size=3))
+                   for key in keys}
+
+
+FIELDS = st.sampled_from([QQ, GF7, GF32003])
+
+
+@st.composite
+def wedge_cases(draw):
+    nvars = draw(st.integers(1, 4))
+    return draw(FIELDS), nvars, draw(form_specs(nvars)), draw(form_specs(nvars))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wedge_cases())
+@example((GF7, 2, (1, {(0,): {(1, 0): 3}, (1,): {(1, 0): 1}}),
+          (1, {(1,): {(0, 1): 5}, (0,): {(0, 1): 1}})))  # 15 - 1 cancels mod 7 only
+@example((GF32003, 2, (1, {(0,): {(1, 0): 2}, (1,): {(1, 0): 1}}),
+          (1, {(1,): {(0, 1): 16002}, (0,): {(0, 1): 1}})))  # 32004 - 1
+@example((QQ, 2, (1, {(0,): {(1, 0): 3}, (1,): {(1, 0): 1}}),
+          (1, {(1,): {(0, 1): 5}, (0,): {(0, 1): 1}})))
+@example((GF7, 3, (2, {(0, 1): {(1, 0, 0): 1}}), (2, {(1, 2): {(0, 1, 0): 1}})))  # grade 4 > 3
+@example((GF32003, 3, (1, {(0,): {(1, 0, 0): 1}}), (1, {})))  # an empty factor
+def test_wedge_matches_a_per_pair_reference(case):
+    """Raw sums per merged index give the per-pair Polynomial loop's wedge:
+    signs included, every coefficient reduced mod p and none of them zero.
+    Over GF(p) the reference runs on the same integers over Q and is reduced."""
+    field, nvars, left, right = case
+    a, b = forms_over(left, nvars, field), forms_over(right, nvars, field)
+    if a.grade + b.grade > nvars:
+        with pytest.raises(GradeError):
+            wedge(a, b)
+        return
+    expected = reference_wedge(forms_over(left, nvars, QQ).terms,
+                               forms_over(right, nvars, QQ).terms)
+    assert values(wedge(a, b).terms) == residues(expected, field)
+
+
+@st.composite
+def vector_cases(draw):
+    nvars, rank = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    monos = [monomial_basis(nvars, degree) for degree in range(3)]
+    vectors = [[draw(st.dictionaries(st.sampled_from(monos[degree]), st.sampled_from(COEFFS),
+                                     max_size=2)) for _ in range(rank)]
+               for degree in draw(st.lists(st.integers(0, 2), max_size=4))]
+    return draw(FIELDS), nvars, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_cases())
+@example((GF7, 1, [[{(1,): 3}, {(1,): 1}], [{(1,): 1}, {(1,): 5}]]))  # 15 - 1
+@example((GF32003, 1, [[{(1,): 2}, {(1,): 1}], [{(1,): 1}, {(1,): 16002}]]))
+@example((QQ, 2, [[{(1, 0): 1}], [{(0, 1): 2}]]))  # two vectors of rank 1
+@example((GF7, 2, [[{(1, 0): 1}, {(0, 1): 3}], [{}, {}]]))  # a zero vector
+@example((GF32003, 2, []))  # the empty wedge is the unit
+def test_vector_wedge_matches_a_per_pair_reference(case):
+    field, nvars, specs = case
+    def fold(field):
+        acc = {(): Polynomial.constant(nvars, 1, field)}
+        for spec in specs:
+            vector = {(b,): Polynomial(nvars, t, field) for b, t in enumerate(spec)}
+            acc = reference_wedge(acc, {b: p for b, p in vector.items() if p})
+        return acc
+    vectors = [[Polynomial(nvars, t, field) for t in spec] for spec in specs]
+    assert values(_vector_wedge(vectors, nvars, field)) == residues(fold(QQ), field)
+
+
+@st.composite
+def contract_cases(draw):
+    nvars = draw(st.integers(1, 4))
+    return draw(FIELDS), nvars, draw(form_specs(nvars, min_grade=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(contract_cases())
+@example((GF7, 3, (2, {(0, 1): {(0, 0, 1): 3}, (0, 2): {(0, 1, 0): 4}})))  # -3 - 4
+@example((GF32003, 3, (2, {(0, 1): {(0, 0, 1): 16002}, (0, 2): {(0, 1, 0): 16001}})))
+@example((QQ, 3, (2, {(0, 1): {(0, 0, 1): 3}, (0, 2): {(0, 1, 0): 4}})))
+@example((GF7, 2, (2, {})))  # the zero form
+def test_euler_contract_matches_a_per_pair_reference(case):
+    field, nvars, spec = case
+    expected = reference_contract(forms_over(spec, nvars, QQ).terms, nvars)
+    assert values(euler_contract(forms_over(spec, nvars, field)).terms) == \
+        residues(expected, field)
 
 
 def _random_module_vector(rank, rng, nvars=2):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adjtorelli import jacobian, polyring
 from adjtorelli.errors import (
     FieldConstraintError,
     HomogeneityError,
@@ -14,6 +15,7 @@ from adjtorelli.fields import QQ, PrimeField
 from adjtorelli.jacobian import (
     Hypersurface,
     _multiples,
+    _pinned_count,
     deformation_class,
     graded_membership,
     hilbert_expected,
@@ -133,6 +135,63 @@ def test_fermat_smoothness_inserts_nothing(monkeypatch):
     monkeypatch.setattr(Echelon, "insert", lambda self, vec: inserts.append(vec))
     assert is_smooth(fermat(5, 5, PrimeField(32003))) == (True, 0)
     assert inserts == []
+
+
+def listed_pinned_count(F):
+    """How many degree-k columns the one-term partials' multiples pin,
+    counted off the set of them."""
+    d, nvars = F.homogeneous_degree(), F.nvars
+    k = nvars * (d - 2) + 1
+    ones = [m for j in range(nvars) if len((f := F.partial(j)).terms) == 1 for m in f.terms]
+    return len({monomial_mul(u, mono) for u in ones for mono in monomial_basis(nvars, k - d + 1)})
+
+
+def check_one_term_partials(F):
+    """Every partial of F has one term or is zero: the inclusion-exclusion
+    count is the listed set's size and the witness a plain elimination's."""
+    d, nvars = F.homogeneous_degree(), F.nvars
+    partials = [F.partial(j) for j in range(nvars)]
+    assert all(len(f.terms) <= 1 for f in partials)
+    ones = list(dict.fromkeys(m for f in partials for m in f.terms))
+    assert _pinned_count(ones, nvars, nvars * (d - 2) + 1) == listed_pinned_count(F)
+    smooth, witness = is_smooth(F)
+    assert witness == plain_smoothness_witness(F)
+    assert smooth == (witness == 0)
+    return witness
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(7), PrimeField(32003)]), st.integers(1, 5),
+       st.data())
+def test_diagonal_smoothness_counts_the_pinned_columns(field, nvars, data):
+    d = data.draw(st.integers(2, {1: 9, 2: 6, 3: 5, 4: 4, 5: 3}[nvars]))
+    coeffs = data.draw(st.lists(st.integers(-40, 40).filter(bool), min_size=nvars,
+                                max_size=nvars))
+    F = Polynomial(nvars, {tuple(d * (i == j) for i in range(nvars)): c
+                           for j, c in enumerate(coeffs)}, field)
+    if not F.is_zero():
+        check_one_term_partials(F)
+
+
+@pytest.mark.parametrize("F, witness", [
+    (Polynomial(4, {(2, 2, 0, 0): 1}), None),
+    (Polynomial(4, {(2, 1, 1, 1): 1}), None),
+    (fermat(5, 5, PrimeField(5)), 4845),  # every partial vanishes
+    (fermat(4, 3, PrimeField(3)), 56),
+], ids=["x0^2*x1^2", "x0^2*x1*x2*x3", "fermat-quintic-gf5", "fermat-cubic-gf3"])
+def test_one_term_smoothness_counts_the_pinned_columns(F, witness):
+    found = check_one_term_partials(F)
+    assert witness is None or found == witness
+
+
+def test_fermat_smoothness_forms_no_monomial_product(monkeypatch):
+    """On the Fermat (4,5) the pinned columns are counted, not listed."""
+    F = fermat(5, 5, PrimeField(32003))
+    calls = []
+    for module in (jacobian, polyring):
+        monkeypatch.setattr(module, "monomial_mul", lambda a, b: calls.append((a, b)))
+    assert is_smooth(F) == (True, 0)
+    assert calls == []
 
 
 def test_hypersurface_rejects_singular():
