@@ -28,10 +28,10 @@ same way.  A Span is the only generator input of a span solve: a caller that
 solves many targets against one span passes the same Span each time, and
 each echelon is built once.
 
-Over GF(p) an Echelon's rows and records are raw ints in [0, p), as in
-modular elimination generally; over the rationals they are Fractions.
-Values pass through field.coerce at insert and reduce, so callers hand in
-field elements (or, over GF(p), raw ints) and get back field elements.
+Values are field elements: residues (ints in [0, p)) over GF(p), as in
+modular elimination generally, and Fractions over the rationals.  Insert and
+reduce take any value field.coerce accepts, and over GF(p) any int as its
+residue; rows, records, residuals and combinations hold field elements.
 
 Over the rationals solve_in_span first decides modulo the word-size primes
 SPAN_PRIMES.  When every generator raises the rank mod p the generators are
@@ -74,13 +74,16 @@ class SpanCertificate:
 
     def verify(self, target: Sequence, span: Span) -> bool:
         """Exact recomputation of target - sum(c_i * g_i) == 0 over the
-        span's generators; a target of another dimension is False."""
+        span's generators, mod p over GF(p); target and coefficients may be
+        any values the span's field coerces.  A target of another dimension
+        is False."""
         if span.dim != len(target) or len(self.coefficients) != len(span):
             return False
-        residual = _sparse(target)
+        coerce, p = span.field.coerce, span.field.characteristic
+        residual = {i: r for i, v in enumerate(target) if (r := coerce(v))}
         for i, coeff in enumerate(self.coefficients):
-            if coeff:
-                _sub_multiple(residual, coeff, span.rows[i], 0)
+            if coeff := coerce(coeff):
+                _sub_multiple(residual, coeff, span.rows[i], p)
         return not residual
 
 
@@ -142,8 +145,8 @@ def rref(rows: Sequence[Sequence], field=QQ) -> Tuple[List[Tuple], Tuple[int, ..
     """Reduced row echelon form of equal-length rows, pivot columns, and rank.
 
     The rows go into an untracked Echelon, the form that back-substitutes;
-    its stored rows, read in pivot order as field elements and padded with
-    zero rows, are the reduced rows.
+    its stored rows, read in pivot order and padded with zero rows, are the
+    reduced rows.
     """
     ncols = len(rows[0]) if rows else 0
     ech = Echelon(field)
@@ -152,11 +155,10 @@ def rref(rows: Sequence[Sequence], field=QQ) -> Tuple[List[Tuple], Tuple[int, ..
             raise ValueError("ragged rows")
         ech.insert(dict(enumerate(row)))
     pivots = ech.pivot_columns()
-    reduced = [
-        tuple(field.coerce(ech.rows[ech.pivot_rows[col]].get(j, 0)) for j in range(ncols))
-        for col in pivots
-    ]
-    reduced += [(field.zero,) * ncols] * (len(rows) - len(pivots))
+    zero = field.zero
+    reduced = [tuple(ech.rows[ech.pivot_rows[col]].get(j, zero) for j in range(ncols))
+               for col in pivots]
+    reduced += [(zero,) * ncols] * (len(rows) - len(pivots))
     return reduced, pivots, len(pivots)
 
 
@@ -213,25 +215,22 @@ class Echelon:
         return tuple(c for c in range(dim) if c not in self.pivot_rows)
 
     def _entries(self, vec: Dict) -> Dict:
-        """A fresh copy of vec's nonzero entries in the stored representation;
-        over GF(p) an int is taken as its residue."""
+        """A fresh copy of vec's nonzero entries as field elements; over
+        GF(p) an int is taken as its residue."""
         coerce, p = self.field.coerce, self.p
         if not p:
             return {c: r for c, v in vec.items() if (r := coerce(v))}
-        return {c: r for c, v in vec.items()
-                if (r := v % p if type(v) is int else coerce(v).value)}
+        return {c: r for c, v in vec.items() if (r := v % p if type(v) is int else coerce(v))}
 
     def reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
         """Residual of vec modulo the current row space, plus the generator
         combination used: vec == residual + sum(combo[g] * generator_g).
         The combination is empty untracked and built when first read."""
         residual, mults = self._reduce(self._entries(vec))
-        coerce = self.field.coerce
-        return ({c: coerce(v) for c, v in residual.items()},
-                _Combination(self, mults) if self.track else {})
+        return residual, _Combination(self, mults) if self.track else {}
 
     def _reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
-        """reduce on a vector already in the stored representation, in place:
+        """reduce on a vector of nonzero field elements, in place:
         the residual and the multiplier of each stored row taken off it.
 
         Stored rows are visited in increasing order through a heap, which
@@ -337,8 +336,7 @@ class _Combination(UserDict):
     @cached_property
     def data(self) -> Dict:
         echelon, mults = self._pending
-        coerce = echelon.field.coerce
-        return {g: coerce(v) for g, v in echelon._combination(mults).items()}
+        return echelon._combination(mults)
 
 
 def _packed_values(values: Sequence, p: int):
@@ -413,7 +411,7 @@ def solve_in_span(target: Sequence, span: Span) -> Optional[SpanCertificate]:
     if span.dim != len(target):
         raise ValueError("target and span disagree on dimension")
     field = span.field
-    goal = _sparse(target)
+    goal = {i: v for i, v in enumerate(target) if v}
     if field.characteristic:
         residual, combo = span._echelon(field).reduce(goal)
     else:
@@ -427,10 +425,6 @@ def solve_in_span(target: Sequence, span: Span) -> Optional[SpanCertificate]:
     if residual:
         return None
     return SpanCertificate(tuple(combo.get(i, field.zero) for i in range(len(span))))
-
-
-def _sparse(vec: Sequence) -> Dict:
-    return {i: v for i, v in enumerate(vec) if v}
 
 
 def _solve_modular(target, goal, span) -> Tuple[bool, Optional[SpanCertificate]]:
@@ -453,8 +447,7 @@ def _solve_modular(target, goal, span) -> Tuple[bool, Optional[SpanCertificate]]
             return True, None
         inv = pow(modulus, -1, p)
         for i, r in enumerate(residues):
-            c = combo[i].value if i in combo else 0
-            residues[i] = r + modulus * ((c - r) * inv % p)
+            residues[i] = r + modulus * ((combo.get(i, 0) - r) * inv % p)
         modulus *= p
         coefficients = tuple(_rational_reconstruct(r, modulus) for r in residues)
         if None not in coefficients:

@@ -28,8 +28,8 @@ contraction iota_E of a constant form:
 One product loop, _wedge_terms, multiplies {sorted multi-index: Polynomial}
 maps: wedge runs it on forms, and relift_expand on free-module vectors, whose
 basis vectors e_b take the place of dx_b.  It and euler_contract add up each
-coefficient on raw values (residues over GF(p), as in polyring) and build its
-Polynomial once.
+coefficient on one unreduced {monomial: value} dict, as polyring's loops do,
+and build its Polynomial once, reducing mod p over GF(p).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .fields import QQ
 from .polyring import (
     Polynomial,
     _from_raw,
-    _raw,
     basis_index,
     monomial_basis,
     monomial_mul,
@@ -96,8 +95,8 @@ def _add_into(terms: dict, key: Tuple[int, ...], poly: Polynomial) -> None:
 
 
 def _from_sums(sums: dict, nvars: int, field) -> Dict[Tuple[int, ...], Polynomial]:
-    """{multi-index: Polynomial} of {multi-index: raw {monomial: value}} sums,
-    without the coefficients that vanish."""
+    """{multi-index: Polynomial} of {multi-index: {monomial: value}} sums
+    (polyring._from_raw), without the coefficients that vanish."""
     built = ((idxs, _from_raw(nvars, field, raw)) for idxs, raw in sums.items())
     return {idxs: poly for idxs, poly in built if poly}
 
@@ -106,14 +105,14 @@ def _wedge_terms(left: dict, right: dict, nvars: int, field) -> Dict[Tuple[int, 
     """Exterior product of {sorted multi-index: Polynomial} maps.
 
     The one product loop: it wedges forms and free-module vectors alike.
-    Each merged multi-index adds its products into one raw {monomial: value}
-    dict (polyring._raw), the wedge sign folded into the left coefficient,
-    and its Polynomial is built once, at the end.
+    Each merged multi-index adds the products of the factors' terms into
+    one {monomial: value} dict, the wedge sign folded into the left
+    coefficient, and its Polynomial is built once, at the end.
     """
-    right = [(ib, _raw(pb).items()) for ib, pb in right.items()]
+    right = [(ib, pb.terms.items()) for ib, pb in right.items()]
     sums: Dict[Tuple[int, ...], dict] = {}
     for ia, pa in left.items():
-        plus = _raw(pa).items()
+        plus = pa.terms.items()
         minus = [(m, -c) for m, c in plus]
         for ib, items in right:
             merged, sign = _merge_indices(ia, ib)
@@ -282,7 +281,7 @@ def euler_contract(a: ExtForm) -> ExtForm:
     units = [tuple(int(i == k) for i in range(a.nvars)) for k in range(a.nvars)]
     sums: Dict[Tuple[int, ...], dict] = {}
     for idxs, poly in a.terms.items():
-        plus = _raw(poly).items()
+        plus = poly.terms.items()
         minus = [(m, -c) for m, c in plus]
         for pos, k in enumerate(idxs):
             acc = sums.setdefault(idxs[:pos] + idxs[pos + 1:], {})

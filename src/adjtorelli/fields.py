@@ -1,11 +1,11 @@
 """Exact coefficient fields: the rationals and odd prime fields.
 
-Rational arithmetic uses fractions.Fraction directly.  Prime-field elements
-are small wrapper objects supporting the usual operators; they are what
-polynomials, reports and certificates hold.  The hot loops do not compute
-with them: exactla.Echelon's GF(p) rows and polyring's arithmetic loops work
-on raw residues, meeting elements only on the way in (PrimeField.coerce, or
-an element's value) and building them again on the way out.
+An element of the rationals is a fractions.Fraction.  An element of GF(p) is
+its residue, a plain int in [0, p): that is what polynomials, echelon rows,
+reports and certificates hold.  A residue carries no modulus, so code that
+computes with residues reduces mod p itself, and a residue of another prime
+field passes coerce unnoticed; Polynomial and the objects built on it carry
+their field and refuse to mix two.
 """
 
 from __future__ import annotations
@@ -40,102 +40,13 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-class PrimeFieldElement:
-    """Residue class modulo a fixed odd prime."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def _lift(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed prime-field moduli")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(other.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(
-            self.value * pow(other.value, -1, self.modulus), self.modulus
-        )
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__truediv__(self)
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"PrimeFieldElement({self.value}, {self.modulus})"
-
-
 class RationalField:
     """The field of rational numbers; elements are fractions.Fraction."""
 
     name = "q"
     characteristic = 0
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -158,7 +69,10 @@ class RationalField:
 
 
 class PrimeField:
-    """Integers modulo an odd prime p."""
+    """Integers modulo an odd prime p; elements are ints in [0, p)."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if p <= 2 or not is_probable_prime(p):
@@ -167,29 +81,17 @@ class PrimeField:
         self.name = f"p:{p}"
         self.characteristic = p
 
-    @property
-    def zero(self):
-        return PrimeFieldElement(0, self.p)
-
-    @property
-    def one(self):
-        return PrimeFieldElement(1, self.p)
-
     def coerce(self, value):
-        if isinstance(value, PrimeFieldElement):
-            if value.modulus != self.p:
-                raise ValueError("element from a different prime field")
-            return value
+        """The residue of an int, or of a Fraction whose denominator p does
+        not divide."""
         if isinstance(value, int):
-            return PrimeFieldElement(value, self.p)
+            return value % self.p
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(
                     f"denominator {value.denominator} not invertible mod {self.p}"
                 )
-            return PrimeFieldElement(
-                value.numerator * pow(value.denominator, -1, self.p), self.p
-            )
+            return value.numerator * pow(value.denominator, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
 
     def is_negative(self, element) -> bool:

@@ -29,7 +29,6 @@ from .exactla import Echelon, rref, sparsity_order
 from .polyring import (
     Monomial,
     Polynomial,
-    _raw,
     basis_index,
     check_piece_dim,
     monomial_basis,
@@ -82,13 +81,13 @@ def _graded_piece(generators: Iterable, nvars: int, k: int, field) -> GradedPiec
 
 def _multiples(polys, nvars: int, shift: int, k: int, dropped=()):
     """Labelled generators m * polys[j] for deg m = shift, monomial-major, as
-    sparse rows of S_k read straight off the raw terms of polys (residues
-    over GF(p)), without the columns in dropped."""
+    sparse rows of S_k read straight off the terms of polys, without the
+    columns in dropped."""
     if shift < 0:
         return
     shifts = monomial_basis(nvars, shift)  # before S_k: a budget error names it
     index = basis_index(nvars, k)
-    terms = [_raw(poly).items() for poly in polys]
+    terms = [poly.terms.items() for poly in polys]
     for mono in shifts:
         for j, items in enumerate(terms):
             yield (j, mono), {col: c for m, c in items

@@ -1,16 +1,16 @@
 """Sparse exact arithmetic for multivariate polynomials in homogeneous coordinates.
 
 A monomial is an exponent tuple, one entry per coordinate x0..xN.  A
-polynomial maps monomials to nonzero field elements; the zero polynomial has
-an empty term map, so equal polynomials always have identical term maps.
-The canonical term order is graded lexicographic with x0 > x1 > ... > xN.
+polynomial maps monomials to nonzero field elements: Fractions over the
+rationals, residues (ints in [0, p)) over GF(p).  The zero polynomial has an
+empty term map, so equal polynomials always have identical term maps.  The
+canonical term order is graded lexicographic with x0 > x1 > ... > xN.
 
-Arithmetic loops (product, sum, division, evaluation on a line) run on raw
-coefficient values, like exactla.Echelon's rows: residues over GF(p), which
-are reduced mod p once per result term, and the Fractions themselves over
-the rationals.  Each operation has one loop for both fields; field elements
-appear only at the edge, in Polynomial.terms.  Results of arithmetic on
-valid polynomials skip the public constructor's checks of outside input.
+Arithmetic loops (product, sum, negation, scaling, derivative, division,
+evaluation on a line) work on the terms as they are, one loop for both
+fields, and build each result through _from_raw, which over GF(p) reduces
+every value mod p once and drops the zeros.  Results of arithmetic on valid
+polynomials skip the public constructor's checks of outside input.
 
 poly_divmod is the one division loop.  The gcd of homogeneous polynomials
 solves one linear relation on the package's one elimination primitive,
@@ -34,7 +34,7 @@ from .errors import (
     VariableCountMismatchError,
 )
 from .exactla import Echelon
-from .fields import QQ, PrimeFieldElement
+from .fields import QQ
 
 Monomial = Tuple[int, ...]
 
@@ -201,8 +201,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        result = _raw(self)
-        for mono, c in _raw(other).items():
+        result = dict(self.terms)
+        for mono, c in other.terms.items():
             acc = result.get(mono)
             result[mono] = c if acc is None else acc + c
         return _from_raw(self.nvars, self.field, result)
@@ -213,16 +213,14 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
-        return Polynomial._trusted(
-            self.nvars, {m: -c for m, c in self.terms.items()}, self.field
-        )
+        return _from_raw(self.nvars, self.field, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_compatible(other)
-            right = _raw(other).items()
+            right = other.terms.items()
             result = {}
-            for ma, ca in _raw(self).items():
+            for ma, ca in self.terms.items():
                 for mb, cb in right:
                     mono = monomial_mul(ma, mb)
                     acc = result.get(mono)
@@ -238,11 +236,7 @@ class Polynomial:
 
     def scale(self, scalar) -> "Polynomial":
         scalar = self.field.coerce(scalar)
-        if not scalar:
-            return Polynomial.zero(self.nvars, self.field)
-        return Polynomial._trusted(
-            self.nvars, {m: c * scalar for m, c in self.terms.items()}, self.field
-        )
+        return _from_raw(self.nvars, self.field, {m: c * scalar for m, c in self.terms.items()})
 
     def mul_monomial(self, mono: Monomial) -> "Polynomial":
         """Fast product with x^mono, sharing this polynomial's coefficient objects."""
@@ -278,16 +272,10 @@ class Polynomial:
         """Formal partial derivative with respect to x_i."""
         if not 0 <= i < self.nvars:
             raise IndexError(f"variable index {i} out of range for {self.nvars} variables")
-        result = {}
-        for mono, coeff in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            lowered = mono[:i] + (e - 1,) + mono[i + 1:]
-            c = coeff * e
-            if c:
-                result[lowered] = result.get(lowered, self.field.zero) + c
-        return Polynomial(self.nvars, result, self.field)
+        # lowering the exponent of x_i is one-to-one on the terms holding x_i
+        result = {mono[:i] + (e - 1,) + mono[i + 1:]: coeff * e
+                  for mono, coeff in self.terms.items() if (e := mono[i])}
+        return _from_raw(self.nvars, self.field, result)
 
     # ----- comparison and display ----------------------------------------
 
@@ -349,20 +337,13 @@ def _checked_monomial(mono, nvars: int) -> Monomial:
     return mono
 
 
-def _raw(poly: Polynomial) -> dict:
-    """A fresh {monomial: value} copy of poly's terms: residues over GF(p),
-    the Fractions themselves over Q."""
-    if poly.field.characteristic:
-        return {m: c.value for m, c in poly.terms.items()}
-    return dict(poly.terms)
-
-
 def _from_raw(nvars: int, field, raw: dict) -> Polynomial:
-    """The polynomial of {valid monomial: raw value}: over GF(p) each value
-    is reduced mod p once, and zeros are dropped."""
+    """The polynomial of {valid monomial: value}, the values Fractions over
+    Q and any ints over GF(p): over GF(p) each value is reduced mod p once,
+    and zeros are dropped."""
     p = field.characteristic
     if p:
-        terms = {m: PrimeFieldElement(r, p) for m, v in raw.items() if (r := v % p)}
+        terms = {m: r for m, v in raw.items() if (r := v % p)}
     else:
         terms = {m: v for m, v in raw.items() if v}
     return Polynomial._trusted(nvars, terms, field)
@@ -376,13 +357,13 @@ def slot_polynomials(pairs, slots: int, nvars: int, field=QQ) -> Tuple[Polynomia
 
     This decodes a span certificate whose generators are labelled
     (slot, monomial), i.e. monomial times the slot's polynomial: the result
-    holds, for each slot, the multiplier of that slot's polynomial.
+    holds, for each slot, the multiplier of that slot's polynomial.  The
+    coefficients are elements of field; a repeated label adds up.
     """
-    parts = [dict() for _ in range(slots)]
+    parts = [{} for _ in range(slots)]
     for (slot, mono), coeff in pairs:
-        if coeff:
-            parts[slot][mono] = parts[slot].get(mono, field.zero) + coeff
-    return tuple(Polynomial(nvars, part, field) for part in parts)
+        parts[slot][mono] = parts[slot].get(mono, field.zero) + coeff
+    return tuple(_from_raw(nvars, field, part) for part in parts)
 
 
 def euler_pair(f: Polynomial) -> Polynomial:
@@ -415,11 +396,11 @@ def poly_divmod(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
     f._check_compatible(g)
     p = f.field.characteristic
     lead = g.leading_monomial()
-    tail = _raw(g)
+    tail = dict(g.terms)
     lc = tail.pop(lead)
     inv = pow(lc, -1, p) if p else 1 / lc
     shift = sum(lead)
-    work = _raw(f)  # cancelled terms stay as zeros until the end
+    work = dict(f.terms)  # cancelled terms stay as zeros until the end
     quotient = {}
     for degree in range(max(map(sum, work), default=-1), shift - 1, -1):
         if not any(sum(m) == degree for m in work):
@@ -441,18 +422,18 @@ def poly_div_exact(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
     return None if remainder else quotient
 
 
-def _monic(p: Polynomial) -> Polynomial:
-    if p.is_zero():
-        return p
-    lead = p.terms[p.leading_monomial()]
-    return p.scale(p.field.one / lead)
+def _monic(f: Polynomial) -> Polynomial:
+    if f.is_zero():
+        return f
+    lead, p = f.terms[f.leading_monomial()], f.field.characteristic
+    return f.scale(pow(lead, -1, p) if p else 1 / lead)
 
 
 def _evaluate_on_line(p: Polynomial, base, direction) -> Polynomial:
     """p(base + t * direction) as a polynomial in the one variable t; the
     points are raw values (ints, or Fractions over Q)."""
     out = []
-    for mono, coeff in _raw(p).items():
+    for mono, coeff in p.terms.items():
         factor = [1]
         for b, v, e in zip(base, direction, mono):
             for _ in range(e):

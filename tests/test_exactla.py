@@ -16,7 +16,7 @@ from adjtorelli.exactla import (
     rref,
     solve_in_span,
 )
-from adjtorelli.fields import QQ, PrimeField, PrimeFieldElement
+from adjtorelli.fields import QQ, PrimeField
 from adjtorelli.jacobian import pairing_matrix
 from adjtorelli.polyring import monomial_basis
 
@@ -26,6 +26,14 @@ F = Fraction
 def as_span(gens, dim, field=QQ):
     """The Span of equal-length dense rows, each of length dim."""
     return Span([{j: v for j, v in enumerate(g) if v} for g in gens], dim, field)
+
+
+def assert_elements(values, field):
+    """Each value is a nonzero element of field as the package holds it: a
+    residue in [1, p) over GF(p), a Fraction over Q."""
+    p = field.characteristic
+    for v in values:
+        assert type(v) is int and 0 < v < p if p else type(v) is Fraction and v
 
 
 def matrices(max_dim=5, elements=st.fractions(min_value=-6, max_value=6, max_denominator=3)):
@@ -197,43 +205,16 @@ def test_echelon_agrees_with_dense_rref_mod_p(p, m):
     reduced, rref_pivots, rank = rref(m, field)
     assert (rref_pivots, rank) == (tuple(pivots), len(pivots))
     entries = [v for r in reduced for v in r]
-    assert all(isinstance(v, PrimeFieldElement) and v.modulus == p for v in entries)
-    assert [v.value for v in entries] == expected
+    assert all(type(v) is int for v in entries) and entries == expected
     target = {j: field.coerce(j + 1) for j in range(cols)}
     residual, combo = tracked.reduce(target)
     assert residual == ech.reduce(target)[0]
-    values = list(residual.values()) + list(combo.values())
-    assert all(isinstance(v, PrimeFieldElement) and v.modulus == p for v in values)
+    assert_elements([*residual.values(), *combo.values()], field)
     rebuilt = dict(residual)
     for g_idx, c in combo.items():
         for j, v in gens[g_idx].items():
-            rebuilt[j] = rebuilt.get(j, field.zero) + c * v
+            rebuilt[j] = (rebuilt.get(j, 0) + c * v) % p
     assert {j: v for j, v in rebuilt.items() if v} == target
-
-
-def test_prime_field_echelon_creates_no_elements(monkeypatch):
-    """Over GF(p) the echelon works on residues: inserting creates no field
-    elements, and a reduce creates only the ones it hands back."""
-    field = PrimeField(32003)
-    rng = random.Random(8)
-    rows = [{rng.randrange(40): field.coerce(rng.randrange(1, 32003)) for _ in range(5)}
-            for _ in range(30)]
-    target = {c: field.coerce(rng.randrange(1, 32003)) for c in range(0, 40, 3)}
-    created = [0]
-    init = PrimeFieldElement.__init__
-
-    def counting_init(self, value, modulus):
-        created[0] += 1
-        init(self, value, modulus)
-
-    monkeypatch.setattr(PrimeFieldElement, "__init__", counting_init)
-    ech = Echelon(field, track=True)
-    for row in rows:
-        ech.insert(row)
-    assert created[0] == 0
-    residual, combo = ech.reduce(target)
-    assert combo
-    assert created[0] <= len(residual) + len(combo)
 
 
 @pytest.mark.parametrize("track", [False, True])
@@ -250,19 +231,6 @@ def test_a_prime_field_echelon_takes_ints_as_residues(track):
     assert all(0 <= v < 7 for row in ints.rows for v in row.values())
     assert ints.reduce({2: 5, 3: -1})[0] == elements.reduce(
         {2: field.coerce(5), 3: field.coerce(-1)})[0]
-
-
-def test_prime_field_echelon_rejects_other_modulus():
-    field = PrimeField(32003)
-    alien = {0: PrimeFieldElement(3, 7)}
-    with pytest.raises(ValueError):
-        Echelon(field, track=True).insert(alien)
-    ech = Echelon(field, track=True)
-    ech.insert({0: field.one, 1: field.coerce(2)})
-    with pytest.raises(ValueError):
-        ech.insert(alien)
-    with pytest.raises(ValueError):
-        ech.reduce(alien)
 
 
 def test_rational_echelon_stores_fractions_and_rejects_floats():
@@ -318,7 +286,7 @@ def echelon_streams(draw):
     for _ in range(draw(st.integers(0, 4))):
         i, j = draw(st.integers(0, len(gens) - 1)), draw(st.integers(0, len(gens) - 1))
         a, b = draw(values.map(field.coerce)), draw(values.map(field.coerce))
-        combined = {c: a * gens[i].get(c, field.zero) + b * gens[j].get(c, field.zero)
+        combined = {c: field.coerce(a * gens[i].get(c, 0) + b * gens[j].get(c, 0))
                     for c in set(gens[i]) | set(gens[j])}
         gens.insert(draw(st.integers(0, len(gens))), combined)  # may cancel to zero
     targets = draw(st.lists(vector, max_size=3)) + gens[-2:]
@@ -351,12 +319,13 @@ def test_tracked_and_untracked_echelons_agree(stream):
     for target in targets:
         residual, combo = tracked.reduce(target)
         assert residual == untracked.reduce(target)[0]
+        assert_elements([*residual.values(), *combo.values()], field)
         assert not set(residual) & set(tracked.pivot_rows)
         assert set(combo) <= set(raising)
         rebuilt = dict(residual)
         for g, c in combo.items():
             for col, v in gens[g].items():
-                rebuilt[col] = rebuilt.get(col, field.zero) + c * v
+                rebuilt[col] = field.coerce(rebuilt.get(col, 0) + c * v)
         assert {col: v for col, v in rebuilt.items() if v} == {
             col: v for col, v in target.items() if v}
 
@@ -624,16 +593,39 @@ def test_a_kept_span_answers_as_fresh_solves(name):
         assert first[P0] == 1 and first[P1] == len(gens) and not first[0]
 
 
+def test_verify_over_a_prime_field_computes_mod_p():
+    """A GF(7) certificate verifies against its target given as residues or
+    as unreduced and negative ints, with its coefficients unreduced too;
+    changing one coefficient, or the target's length, makes it False."""
+    _, gens, (target, _) = KEPT_SPANS["GF7 independent"]
+    span = as_span(gens, len(target), GF7)
+    cert = solve_in_span(target, span)
+    assert cert is not None and cert.verify(target, span)
+    assert_elements([c for c in cert.coefficients if c], GF7)
+    assert cert.verify([v + 7 * k for k, v in enumerate(target)], span)
+    assert cert.verify([v - 7 for v in target], span)
+    assert SpanCertificate(tuple(c - 14 for c in cert.coefficients)).verify(target, span)
+    for i in range(len(cert.coefficients)):
+        changed = list(cert.coefficients)
+        changed[i] = (changed[i] + 1) % 7
+        assert not SpanCertificate(tuple(changed)).verify(target, span)
+    assert not cert.verify(target[:-1], span)
+    assert not cert.verify(target + [0], span)
+
+
 def test_a_span_refuses_a_target_of_another_dimension_or_field():
-    """The field is the span's: a target in another prime field fails to
-    coerce into it."""
-    span = Span([{0: F(1)}], 2, QQ)
-    with pytest.raises(ValueError):
-        solve_in_span([F(1)], span)
-    with pytest.raises(ValueError):
-        solve_in_span([GF7.one, GF7.zero], span)
-    with pytest.raises(ValueError):
-        solve_in_span([GF7.one, GF7.zero], Span([{0: 1}], 2, PrimeField(11)))
+    """A target of another length is refused over either field, and one
+    with a value outside the span's field (a float) fails to coerce.  A
+    residue carries no modulus, so one of another prime field is taken as
+    an int."""
+    for field in (QQ, GF7):
+        span = Span([{0: field.one}], 2, field)
+        with pytest.raises(ValueError):
+            solve_in_span([field.one], span)
+        with pytest.raises(ValueError):
+            solve_in_span([field.one] * 3, span)
+        with pytest.raises(TypeError):
+            solve_in_span([0.5, field.zero], span)
 
 
 def test_only_a_read_combination_runs_the_backward_pass(fermat_quartic, monkeypatch):

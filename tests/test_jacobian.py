@@ -120,7 +120,7 @@ def test_smoothness_witness_matches_a_plain_elimination(F):
 
 
 def test_multiples_are_raw_residues_over_a_prime_field():
-    """Rows of multiples over GF(p) hold ints in [0, p), not field elements."""
+    """Rows of multiples over GF(p) hold residues, ints in [1, p)."""
     field = PrimeField(7)
     F = fermat(3, 4, field) + 3 * x(0, 3, field) * x(1, 3, field) ** 3
     partials = [F.partial(i) for i in range(3)]

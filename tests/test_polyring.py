@@ -11,7 +11,8 @@ from adjtorelli.errors import (
     HomogeneityError,
     VariableCountMismatchError,
 )
-from adjtorelli.fields import QQ, PrimeField, PrimeFieldElement
+from adjtorelli.extforms import ExtForm
+from adjtorelli.fields import QQ, PrimeField
 from adjtorelli.polyring import (
     MAX_COEFF_BITS,
     MAX_PIECE_DIM,
@@ -24,6 +25,7 @@ from adjtorelli.polyring import (
     multivariate_gcd,
     poly_div_exact,
     poly_divmod,
+    slot_polynomials,
     _evaluate_on_line,
 )
 
@@ -259,12 +261,12 @@ def integer_terms(nvars=3, max_degree=3):
 
 
 def assert_canonical(poly, p):
-    """poly's terms are nonzero elements of GF(p), or Fractions when p is 0."""
+    """poly's terms are residues in [1, p), or nonzero Fractions when p is 0."""
     for c in poly.terms.values():
         if p:
-            assert isinstance(c, PrimeFieldElement) and c.modulus == p and 0 < c.value < p
+            assert type(c) is int and 0 < c < p
         else:
-            assert isinstance(c, Fraction) and c
+            assert type(c) is Fraction and c
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -274,10 +276,13 @@ def assert_canonical(poly, p):
        mono=st.sampled_from(monomial_basis(3, 2)),
        base=st.lists(st.integers(-9, 9), min_size=3, max_size=3),
        direction=st.lists(st.integers(-9, 9), min_size=3, max_size=3))
-# (x0 + x1) * (x0 + (p - 1)*x1) has x0*x1 coefficient p: it cancels only mod p
-@example(a_terms={(1, 0, 0): 1, (0, 1, 0): 1}, b_terms={(1, 0, 0): 1, (0, 1, 0): 6},
+# (x0 + x1) * (x0 + (p - 1)*x1) has x0*x1 coefficient p: it cancels only mod p;
+# the cubes' derivatives and negations leave [1, p) unless reduced
+@example(a_terms={(1, 0, 0): 1, (0, 1, 0): 1, (3, 0, 0): 6},
+         b_terms={(1, 0, 0): 1, (0, 1, 0): 6},
          scalar=7, mono=(1, 1, 0), base=[1, 2, 3], direction=[0, 1, -1])
-@example(a_terms={(1, 0, 0): 1, (0, 1, 0): 1}, b_terms={(1, 0, 0): 1, (0, 1, 0): 32002},
+@example(a_terms={(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 3): 32002},
+         b_terms={(1, 0, 0): 1, (0, 1, 0): 32002},
          scalar=32003, mono=(0, 0, 2), base=[-1, 0, 9], direction=[9, 9, 9])
 def test_gfp_arithmetic_is_rational_arithmetic_reduced_mod_p(
         p, a_terms, b_terms, scalar, mono, base, direction):
@@ -293,8 +298,33 @@ def test_gfp_arithmetic_is_rational_arithmetic_reduced_mod_p(
     agree(a_p * b_p, a_q * b_q)
     agree(a_p + b_p, a_q + b_q)
     agree(a_p - b_p, a_q - b_q)
+    agree(-a_p, -a_q)
+    for i in range(3):
+        agree(a_p.partial(i), a_q.partial(i))
     agree(a_p.scale(scalar), a_q.scale(scalar))
     agree(a_p.mul_monomial(mono), a_q.mul_monomial(mono))
+    # b's terms go to both slots, so a label may repeat and its values add up
+    pairs = [((0, m), c) for m, c in a_terms.items()]
+    pairs += [((i % 2, m), c) for i, (m, c) in enumerate(b_terms.items())]
+    for over_p, over_q in zip(
+            slot_polynomials([(label, gf.coerce(c)) for label, c in pairs], 2, 3, gf),
+            slot_polynomials([(label, Fraction(c)) for label, c in pairs], 2, 3)):
+        agree(over_p, over_q)
+    if a_q:
+        top = sum(a_q.leading_monomial())
+        k_q, l_q = (Polynomial(3, {m: c for m, c in t.items() if sum(m) == top})
+                    for t in (a_terms, b_terms))
+        k_p, l_p = Polynomial(3, k_q.terms, gf), Polynomial(3, l_q.terms, gf)
+        form_q, form_p = (ExtForm(3, 2, {(0, 1): k, (1, 2): l}, field)
+                          for k, l, field in ((k_q, l_q, QQ), (k_p, l_p, gf)))
+        for idxs in ((0, 1), (1, 2)):
+            agree(form_p.scale(scalar).coefficient(idxs), form_q.scale(scalar).coefficient(idxs))
+        if k_q.terms[k_q.leading_monomial()] % p:  # the monic gcd reduces mod p
+            u, v = x(0, 3) + 2 * x(1, 3) - x(2, 3), x(1, 3) + 3 * x(2, 3)  # coprime mod any p
+            gcd_q = multivariate_gcd(k_q * u, k_q * v)
+            agree(multivariate_gcd(k_p * Polynomial(3, u.terms, gf),
+                                   k_p * Polynomial(3, v.terms, gf)), gcd_q)
+            assert gcd_q.terms[gcd_q.leading_monomial()] == 1
     on_line = _evaluate_on_line(a_q, base, direction)
     agree(_evaluate_on_line(a_p, base, direction), on_line)
     for t in (0, 1, -2):  # against evaluating a at the point base + t * direction
@@ -331,7 +361,7 @@ def test_gcd_random_pairs_against_sympy():
     def to_sympy(p, symbols):
         total = 0
         for mono, coeff in p.terms.items():
-            term = sympy.Integer(coeff.value) if p.field.characteristic \
+            term = sympy.Integer(coeff) if p.field.characteristic \
                 else sympy.Rational(coeff)
             for s, e in zip(symbols, mono):
                 term *= s ** e
@@ -348,7 +378,8 @@ def test_gcd_random_pairs_against_sympy():
         terms = {m: a.field.coerce(int(c) if p else Fraction(int(c.p), int(c.q)))
                  for m, c in g.terms()}
         g = Polynomial(a.nvars, terms, a.field)
-        return g.scale(a.field.one / g.coefficient(g.leading_monomial()))
+        lead = g.coefficient(g.leading_monomial())
+        return g.scale(pow(lead, -1, p) if p else 1 / lead)
 
     rng = random.Random(2024)
     cases = [(3, QQ)] * 8 + [(4, QQ)] * 4 + [(4, PrimeField(32003))]
