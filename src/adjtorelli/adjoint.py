@@ -14,8 +14,9 @@ the constant 2-form alpha with that row.  From it we compute:
 * for a degree-d polynomial R, the canonical adjoint P*R and the image
   membership test deciding whether P*R lies in the span of the subsystem
   polynomials times degree-2 multipliers, modulo F, with exact multiplier
-  certificates.  That span depends on the bundle alone, so its generators
-  and the per-prime echelons of its solves are kept on the bundle.
+  certificates.  The span lies in the Jacobian ideal, so over GF(p) a P*R
+  outside the ideal is a no before it is built.  It depends on the bundle
+  alone, so its generators and solve echelons are kept on the bundle.
 
 Reducing modulo F is division by F (polyring.poly_divmod): {F} is a
 Groebner basis of (F), so the remainder is the unique representative, and
@@ -55,7 +56,7 @@ from .extforms import (
     wedge_all,
 )
 from .fields import QQ
-from .jacobian import Hypersurface, reduce_mod
+from .jacobian import Hypersurface, _poly_vector, reduce_mod
 from .polyring import (
     Monomial,
     Polynomial,
@@ -234,6 +235,10 @@ def image_membership(bundle: AdjointBundle, R: Polynomial) -> Optional[ImageCert
     """Decide P*R in span{m * omega_i : deg m = 2} modulo F.
 
     Returns the degree-2 multiplier certificate on success, None otherwise.
+    The span lies in J (F does, by Euler's identity), so over GF(p) P*R outside
+    J is a no, read off h's cached ideal piece before any span is built (R is
+    not tested); over Q, where that piece is a rational elimination, the span
+    solve, decided modulo primes, answers.
     """
     if bundle.degenerate:
         raise DegenerateBundleError("cannot test image membership: base polynomial is 0")
@@ -246,8 +251,11 @@ def image_membership(bundle: AdjointBundle, R: Polynomial) -> Optional[ImageCert
     if residual.is_zero():
         zeros = tuple(Polynomial.zero(nvars, field) for _ in range(n))
         return ImageCertificate(zeros, principal)
+    k = n + h.degree - 1
+    if field.characteristic and h.ideal_piece(k).echelon.reduce(_poly_vector(residual, k))[0]:
+        return None
     span, labels = _image_span(bundle)
-    index = basis_index(nvars, n + h.degree - 1)
+    index = basis_index(nvars, k)
     target = [field.zero] * span.dim
     for mono, c in adjoint.terms.items():
         target[index[mono]] = c

@@ -165,6 +165,13 @@ class ExtForm:
         self.field = field
 
     @classmethod
+    def _trusted(cls, nvars: int, grade: int, terms: dict, field) -> "ExtForm":
+        """A form on valid terms (a wedge, contraction or negation's), unchecked."""
+        form = cls.__new__(cls)
+        form.nvars, form.grade, form.terms, form.field = nvars, grade, terms, field
+        return form
+
+    @classmethod
     def zero(cls, nvars: int, grade: int, field=QQ) -> "ExtForm":
         return cls(nvars, grade, {}, field)
 
@@ -203,10 +210,8 @@ class ExtForm:
         return self + (-other)
 
     def __neg__(self):
-        return ExtForm(
-            self.nvars, self.grade,
-            {i: -p for i, p in self.terms.items()}, self.field,
-        )
+        return ExtForm._trusted(self.nvars, self.grade,
+                                {i: -p for i, p in self.terms.items()}, self.field)
 
     def poly_mul(self, poly: Polynomial) -> "ExtForm":
         """Multiply every coefficient by one homogeneous polynomial."""
@@ -260,7 +265,8 @@ def wedge(a: ExtForm, b: ExtForm) -> ExtForm:
         raise GradeError(
             f"wedge grade {grade} exceeds {a.nvars} available differentials"
         )
-    return ExtForm(a.nvars, grade, _wedge_terms(a.terms, b.terms, a.nvars, a.field), a.field)
+    terms = _wedge_terms(a.terms, b.terms, a.nvars, a.field)
+    return ExtForm._trusted(a.nvars, grade, terms, a.field)
 
 
 def wedge_all(forms: Sequence[ExtForm]) -> ExtForm:
@@ -289,7 +295,7 @@ def euler_contract(a: ExtForm) -> ExtForm:
                 mono = monomial_mul(m, units[k])
                 value = acc.get(mono)
                 acc[mono] = c if value is None else value + c
-    return ExtForm(a.nvars, a.grade - 1, _from_sums(sums, a.nvars, a.field), a.field)
+    return ExtForm._trusted(a.nvars, a.grade - 1, _from_sums(sums, a.nvars, a.field), a.field)
 
 
 def _contracted_unit(idxs: Tuple[int, ...], nvars: int, field) -> ExtForm:

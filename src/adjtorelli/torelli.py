@@ -6,7 +6,7 @@ period-map differential on the class of R, membership of R in the Jacobian
 ideal, image membership of the canonical adjoint P*R for generic W-systems,
 and membership of P*R itself in the Jacobian ideal.  The first is imported
 from the literature as documentation of the second; the remaining three are
-decided here with exact certificates.
+decided here, each yes with an exact certificate.
 
 Any disagreement between the ideal membership of R and a non-degenerate
 trial is a theorem violation, i.e. an implementation bug, and is surfaced

@@ -3,14 +3,18 @@ import io
 import random
 import weakref
 from dataclasses import fields
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjtorelli import adjoint, cli
 from adjtorelli.adjoint import (
     AdjointBundle,
+    ImageCertificate,
     build_bundle,
     canonical_adjoint,
     epsilon_sign,
@@ -30,7 +34,7 @@ from adjtorelli.errors import (
     HomogeneityError,
     HypothesisViolationError,
 )
-from adjtorelli.exactla import Echelon
+from adjtorelli.exactla import Echelon, rref, solve_in_span
 from adjtorelli.extforms import (
     ExtForm,
     basis_one_form,
@@ -39,7 +43,15 @@ from adjtorelli.extforms import (
 )
 from adjtorelli.fields import QQ, PrimeField
 from adjtorelli.jacobian import Hypersurface, graded_membership, reduce_mod
-from adjtorelli.polyring import Polynomial, monomial_basis, poly_div_exact
+from adjtorelli.parsing import load_problem
+from adjtorelli.polyring import (
+    Polynomial,
+    basis_index,
+    monomial_basis,
+    poly_div_exact,
+    poly_divmod,
+    slot_polynomials,
+)
 
 from conftest import fermat, random_homogeneous, x
 
@@ -241,6 +253,157 @@ def test_image_membership_rejects_degenerate(fermat_quartic):
     assert bundle.degenerate
     with pytest.raises(DegenerateBundleError):
         image_membership(bundle, x(0) ** 3 * x(1))
+
+
+@pytest.mark.parametrize("name, field", [
+    ("fermat4.prob", QQ),
+    ("fermat4.prob", PrimeField(7)),
+    ("fermat5.prob", PrimeField(32003)),
+    ("sparse5.prob", PrimeField(32003)),
+], ids=["fermat4-q", "fermat4-gf7", "fermat5-gf32003", "sparse5-gf32003"])
+def test_image_span_lies_in_the_jacobian_ideal(name, field):
+    """Every image generator m * omega_i and m * F is in J_(n+d-1): omega_i
+    is sum_j A_ij F_j minus a multiple of F, and F is in J by Euler's
+    identity, d being invertible in the field.  So P*R outside J is outside
+    the image, which is how image_membership answers no."""
+    F, _ = load_problem(DATA / name).build(field)
+    h = Hypersurface(F)
+    for trial in range(2):
+        bundle, _ = sample_bundle(h, seed=0, trial=trial)
+        _, labels = adjoint._image_span(bundle)
+        assert len(labels) == (h.n * len(monomial_basis(h.nvars, 2))
+                               + len(monomial_basis(h.nvars, h.n - 1)))
+        slots = bundle.subsystem + (h.poly,)
+        for slot, mono in labels:
+            G = slots[slot].mul_monomial(mono)
+            cert = graded_membership(G, h)
+            assert cert is not None and cert.verify(h, G)
+
+
+def test_an_image_no_over_gfp_builds_no_image_span():
+    """Over GF(p) a P*R outside J is a no read off J_(n+d-1): the bundle's
+    image span stays empty until a P*R inside J needs it."""
+    field = PrimeField(7)
+    h = Hypersurface(fermat(4, 4, field))
+    bundle, _ = sample_bundle(h, seed=0, trial=0)
+    assert image_membership(bundle, x(0, 4, field) * x(1, 4, field)
+                            * x(2, 4, field) * x(3, 4, field)) is None
+    assert not bundle.image_span
+    yes_r = x(0, 4, field) ** 3 * x(1, 4, field) + 2 * x(2, 4, field) ** 3 * x(3, 4, field)
+    cert = image_membership(bundle, yes_r)
+    assert cert is not None and cert.verify(bundle, yes_r)
+    assert bundle.image_span
+
+
+def _image_by_span_solve(bundle, R):
+    """image_membership's answer from the full span solve of P*R alone."""
+    h = bundle.hypersurface
+    span, labels = adjoint._image_span(bundle)
+    index = basis_index(h.nvars, h.n + h.degree - 1)
+    target = [h.field.zero] * span.dim
+    for mono, c in (bundle.top_poly * R).terms.items():
+        target[index[mono]] = c
+    cert = solve_in_span(target, span)
+    if cert is None:
+        return None
+    *multipliers, principal = slot_polynomials(
+        zip(labels, cert.coefficients), h.n + 1, h.nvars, h.field)
+    return ImageCertificate(tuple(multipliers), principal)
+
+
+def _kernel_outside_j(bundle):
+    """A basis of the R in the span of the degree-d quotient monomials (so
+    outside J unless 0) with P*R in the image: the rows of the rref of
+    [P*q reduced modulo the image | identity] whose left part is 0."""
+    h = bundle.hypersurface
+    span, _ = adjoint._image_span(bundle)
+    image = Echelon(h.field)
+    for row in span.rows:
+        image.insert(row)
+    index = basis_index(h.nvars, h.n + h.degree - 1)
+    quotient = h.quotient_basis(h.degree)
+    rows = []
+    for i, mono in enumerate(quotient):
+        product = bundle.top_poly.mul_monomial(mono)
+        residual, _ = image.reduce({index[m]: c for m, c in product.terms.items()})
+        rows.append([residual.get(c, 0) for c in range(span.dim)]
+                    + [int(i == j) for j in range(len(quotient))])
+    return [
+        Polynomial(h.nvars, dict(zip(quotient, row[span.dim:])), h.field)
+        for row in rref(rows, h.field)[0]
+        if not any(row[:span.dim]) and any(row[span.dim:])
+    ]
+
+
+# a Fermat quartic: name -> (nvars, field)
+QUARTICS = {"quartic-q": (4, QQ), "quartic-gf7": (4, PrimeField(7)),
+            "plane-quartic-gf5": (3, PrimeField(5))}
+# (quartic, seed, trial), or (quartic, "monomial", base monomial)
+IMAGE_CASES = (
+    [("quartic-q", 0, t) for t in range(3)]
+    + [("quartic-q", "monomial", m) for m in monomial_basis(4, 2)]
+    + [("quartic-gf7", 0, t) for t in range(3)]
+    + [("plane-quartic-gf5", 1, t) for t in range(6)]
+)
+@lru_cache(maxsize=None)
+def _quartic(name):
+    nvars, field = QUARTICS[name]
+    return Hypersurface(fermat(nvars, 4, field))
+
+
+@lru_cache(maxsize=None)
+def _image_case(case):
+    """The case's bundle and the basis _kernel_outside_j gives for it."""
+    name, seed, value = case
+    h = _quartic(name)
+    bundle = (build_bundle(h, monomial_to_adjoint(h.nvars, value, h.field))
+              if seed == "monomial" else sample_bundle(h, seed, value)[0])
+    return bundle, _kernel_outside_j(bundle)
+
+
+def test_some_plane_quartic_bundles_put_p_r_in_the_image_for_r_outside_j():
+    """Outside the theorem's n >= 3, over GF(5), K_W = {R : P*R in the image}
+    is larger than J_d on trials 2, 4 and 5 of seed 1, by 2 dimensions each;
+    on the Fermat quartic surface it is J_d."""
+    kernels = {case: len(_image_case(case)[1]) for case in IMAGE_CASES}
+    assert {case for case, dim in kernels.items() if dim} == {
+        ("plane-quartic-gf5", 1, t) for t in (2, 4, 5)}
+    assert set(kernels.values()) == {0, 2}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(IMAGE_CASES),
+    parts=st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+                   min_size=4, max_size=4),
+    outside=st.lists(st.tuples(st.integers(0, 18), st.integers(-2, 2)), max_size=2),
+    kernel=st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+)
+def test_image_membership_agrees_with_the_full_span_solve(case, parts, outside, kernel):
+    """R = sum_j g_j * dF/dx_j (g_j linear), plus terms on the degree-d
+    quotient basis, plus a combination of the R outside J with P*R in the
+    image: image_membership answers None exactly when the full span solve of
+    P*R does, and otherwise with its certificate.  So a no decided from P*R
+    outside J never changes an answer, and one decided from R outside J
+    would (on the plane quartic bundles above)."""
+    bundle, kernel_basis = _image_case(case)
+    h = bundle.hypersurface
+    nvars, field = h.nvars, h.field
+    zero = Polynomial.zero(nvars, field)
+    R = zero
+    for row, partial in zip(parts, h.partials):
+        R = R + sum((c * x(i, nvars, field) for i, c in zip(range(nvars), row)), zero) * partial
+    quotient = h.quotient_basis(h.degree)
+    for i, c in outside:
+        R = R + Polynomial.from_monomial(nvars, quotient[i % len(quotient)], c, field)
+    for c, G in zip(kernel, kernel_basis):
+        R = R + c * G
+    cert, expected = image_membership(bundle, R), _image_by_span_solve(bundle, R)
+    assert (cert is None) == (expected is None)
+    if cert is not None:
+        assert cert.verify(bundle, R)
+        if poly_divmod(bundle.top_poly * R, h.poly)[1]:  # not a multiple of F
+            assert cert == expected
 
 
 # ----- explicit adjoint systems for monomials --------------------------------------

@@ -403,6 +403,10 @@ GOLDEN_COMMANDS = {
     "golden_torelli_sparse5_gf32003_certificates.json": [
         "torelli", "sparse5.prob", "--field", "p:32003", "--trials", "2", "--seed", "0",
         "--json", "--certificates"],
+    # the same threefold with R outside the Jacobian ideal: every answer is no
+    "golden_torelli_sparse5_nontrivial_gf32003_certificates.json": [
+        "torelli", "sparse5_nontrivial.prob", "--field", "p:32003", "--trials", "2",
+        "--seed", "0", "--json", "--certificates"],
 }
 
 
