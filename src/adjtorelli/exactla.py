@@ -20,18 +20,18 @@ relation u * a == v * b off a tracked one whose columns are monomials (any
 ordered, hashable column keys work).
 
 A Span holds fixed generators as sparse rows over one field together with
-the tracked echelons its solves have built, one per prime, each packed
-(Echelon.pack) to what a reduce reads.  Their column order, sparsity_order,
-puts first the columns the fewest generators hold, which keeps the factor
-sparse (Markowitz 1957); jacobian.is_smooth orders its untracked echelon the
-same way.  A Span is the only generator input of a span solve: a caller that
-solves many targets against one span passes the same Span each time, and
-each echelon is built once.
+the tracked echelons its solves have built, one per prime.  Their column
+order, sparsity_order, puts first the columns the fewest generators hold,
+which keeps the factor sparse (Markowitz 1957); jacobian.is_smooth orders
+its untracked echelon the same way.  A Span is the only generator input of
+a span solve: a caller that solves many targets against one span passes the
+same Span each time, and each echelon is built once.
 
 Values are field elements: residues (ints in [0, p)) over GF(p), as in
-modular elimination generally, and Fractions over the rationals.  Insert and
-reduce take any value field.coerce accepts, and over GF(p) any int as its
-residue; rows, records, residuals and combinations hold field elements.
+modular elimination generally, and Fractions over the rationals.  Insert,
+reduce and Span take any value field.coerce accepts, and over GF(p) any int
+as its residue; rows, records, residuals and combinations hold field
+elements.
 
 Over the rationals solve_in_span first decides modulo the word-size primes
 SPAN_PRIMES.  When every generator raises the rank mod p the generators are
@@ -45,13 +45,11 @@ certificate changes.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter, UserDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -89,27 +87,30 @@ class SpanCertificate:
 
 class Span:
     """Fixed generators, given as sparse {column: value} rows of length dim
-    over field and kept packed, and what the span solves against them have
-    built.
+    over field, and what the span solves against them have built.
 
-    The first solve that needs a prime builds the tracked Echelon of the rows
-    modulo it and keeps it packed.  Over Q a prime can instead be remembered
-    as of no use: a generator adds no rank mod p (solves then eliminate over
-    Q, uncached), or p divides a denominator (solves skip it).  len() is the
-    number of generators.
+    Each row is kept as a fresh dict of its nonzero entries as field
+    elements, so a caller's later change to its own rows changes nothing
+    here.  The first solve that needs a prime builds the tracked Echelon of
+    the rows modulo it and keeps it.  Over Q a prime can instead be
+    remembered as of no use: a generator adds no rank mod p (solves then
+    eliminate over Q, uncached), or p divides a denominator (solves skip
+    it).  len() is the number of generators.
     """
 
     def __init__(self, rows: Sequence[Dict], dim: int, field=QQ):
-        self.rows = _PackedRows(rows, 0)
+        self.rows = [_entries(row, field) for row in rows]
+        if any(row and (min(row) < 0 or max(row) >= dim) for row in self.rows):
+            raise ValueError(f"a generator has a column outside range({dim})")
         self.dim = dim
         self.field = field
-        self._echelons: Dict = {}  # p -> packed Echelon, _DEPENDENT or _SKIP
+        self._echelons: Dict = {}  # p -> tracked Echelon, _DEPENDENT or _SKIP
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def _echelon(self, field):
-        """The packed tracked echelon of the rows over field, a GF(p); for a
+        """The tracked echelon of the rows over field, a GF(p); for a
         span over Q, _DEPENDENT or _SKIP when p cannot decide its solves."""
         state = self._echelons.get(field.p)
         if state is None:
@@ -124,14 +125,13 @@ class Span:
                 if not lifting:
                     raise
                 state = _SKIP
-            if state is ech:
-                ech.pack()
             self._echelons[field.p] = state
         return state
 
     def _tracked(self, field):
         """An empty tracked Echelon over field in the rows' sparsity_order."""
-        return Echelon(field, track=True, order=sparsity_order(self.rows.keys))
+        order = sparsity_order(c for row in self.rows for c in row)
+        return Echelon(field, track=True, order=order)
 
 
 def sparsity_order(columns) -> Dict:
@@ -214,19 +214,11 @@ class Echelon:
     def nonpivot_columns(self, dim: int) -> Tuple[int, ...]:
         return tuple(c for c in range(dim) if c not in self.pivot_rows)
 
-    def _entries(self, vec: Dict) -> Dict:
-        """A fresh copy of vec's nonzero entries as field elements; over
-        GF(p) an int is taken as its residue."""
-        coerce, p = self.field.coerce, self.p
-        if not p:
-            return {c: r for c, v in vec.items() if (r := coerce(v))}
-        return {c: r for c, v in vec.items() if (r := v % p if type(v) is int else coerce(v))}
-
     def reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
         """Residual of vec modulo the current row space, plus the generator
         combination used: vec == residual + sum(combo[g] * generator_g).
         The combination is empty untracked and built when first read."""
-        residual, mults = self._reduce(self._entries(vec))
+        residual, mults = self._reduce(_entries(vec, self.field))
         return residual, _Combination(self, mults) if self.track else {}
 
     def _reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
@@ -270,26 +262,11 @@ class Echelon:
                 _sub_multiple(mults, coeff, steps[ridx], p)
         return combo
 
-    def pack(self) -> None:
-        """Keep only what reduce reads, packed in arrays; no insert may follow.
-
-        Stored rows, their pivots and the record go flat into arrays (keys
-        must be ints); col_rows and the column order are dropped.
-        """
-        p = self.p
-        self.rows = _PackedRows(self.rows, p)
-        self.pivots = array("I", self.pivots)
-        self.order = None
-        self.gens = array("I", self.gens)
-        self.invs = _packed_values(self.invs, p)
-        self.steps = _PackedRows(self.steps, p)
-        self.col_rows = None
-
     def insert(self, vec: Dict) -> bool:
         """Insert one generator; returns True when the rank increased."""
         gen_idx = self.n_inserted
         self.n_inserted += 1
-        residual, mults = self._reduce(self._entries(vec))
+        residual, mults = self._reduce(_entries(vec, self.field))
         if not residual:
             return False
         pivot = min(residual, key=self.order.__getitem__ if self.order else None)
@@ -339,34 +316,13 @@ class _Combination(UserDict):
         return echelon._combination(mults)
 
 
-def _packed_values(values: Sequence, p: int):
-    """Residues mod p < 2^64 in an unsigned array, other values in a tuple."""
-    if 0 < p < 2 ** 64:
-        return array("I" if p < 2 ** 32 else "Q", values)
-    return tuple(values)
-
-
-class _PackedRows:
-    """Sparse rows with int keys, flat in arrays (values as _packed_values
-    keeps them): ends[i] is where row i stops; row i comes back as a fresh
-    {key: value} dict."""
-
-    __slots__ = ("ends", "keys", "values")
-
-    def __init__(self, rows: Sequence[Dict], p: int):
-        self.ends = array("I", accumulate(map(len, rows)))
-        self.keys = array("I", [k for row in rows for k in row])
-        self.values = _packed_values([v for row in rows for v in row.values()], p)
-
-    def __len__(self) -> int:
-        return len(self.ends)
-
-    def __getitem__(self, i: int) -> Dict:
-        start, end = self.ends[i - 1] if i else 0, self.ends[i]
-        return dict(zip(self.keys[start:end], self.values[start:end]))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.ends)))
+def _entries(vec: Dict, field) -> Dict:
+    """A fresh copy of vec's nonzero entries as field elements; over GF(p)
+    an int is taken as its residue."""
+    coerce, p = field.coerce, field.characteristic
+    if not p:
+        return {c: r for c, v in vec.items() if (r := coerce(v))}
+    return {c: r for c, v in vec.items() if (r := v % p if type(v) is int else coerce(v))}
 
 
 def _sub_multiple(target: Dict, factor, source: Dict, p: int, added: Optional[list] = None):

@@ -2,6 +2,7 @@ import inspect
 import io
 import json
 import random
+import shlex
 import signal
 import subprocess
 import sys
@@ -425,6 +426,26 @@ def test_golden_reports_are_stable(golden_name):
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0] == expected
+
+
+WORKFLOW = Path(__file__).parent.parent / ".github" / "workflows" / "tier1.yml"
+
+
+def test_the_ci_golden_job_runs_the_golden_commands():
+    """The golden-python310 job's check lines name the files and argv of
+    GOLDEN_COMMANDS, and its file count is theirs."""
+    job = WORKFLOW.read_text(encoding="utf-8").split("\n  golden-python310:\n")[1]
+    job = job.split("\n\n")[0]  # up to the next job
+    lines = [line.strip() for line in job.splitlines()]
+    checks = {}
+    for line in lines:
+        if line.startswith("check "):
+            _, golden, *argv = shlex.split(line)
+            assert golden not in checks, golden
+            checks[golden] = argv
+    assert checks == GOLDEN_COMMANDS
+    count = f'test "$(ls golden_*.json | wc -l)" -eq {len(GOLDEN_COMMANDS)}'
+    assert count in lines
 
 
 def test_adjoint_without_r_reports_null_memberships(tmp_path):

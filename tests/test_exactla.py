@@ -12,7 +12,6 @@ from adjtorelli.exactla import (
     Echelon,
     Span,
     SpanCertificate,
-    _PackedRows,
     rref,
     solve_in_span,
 )
@@ -277,7 +276,7 @@ MONOMIALS = monomial_basis(3, 2)  # column keys as the gcd's echelons use them
 @st.composite
 def echelon_streams(draw):
     """A field, generators with dependent and cancelling ones mixed in,
-    targets in and out of their span, the column keys, and whether to pack."""
+    targets in and out of their span, and the column keys."""
     field = draw(st.sampled_from(ECHELON_FIELDS))
     cols = draw(st.integers(min_value=1, max_value=len(MONOMIALS)))
     values = st.one_of(st.sampled_from((-1, 1, 2)), st.integers(-40_000, 40_000))
@@ -293,8 +292,7 @@ def echelon_streams(draw):
     if draw(st.booleans()):
         gens, targets = ([{MONOMIALS[c]: v for c, v in vec.items()} for vec in vecs]
                          for vecs in (gens, targets))
-        return field, gens, targets, False
-    return field, gens, targets, draw(st.booleans())
+    return field, gens, targets
 
 
 @settings(max_examples=200, deadline=None)
@@ -303,7 +301,7 @@ def test_tracked_and_untracked_echelons_agree(stream):
     """The row echelon factor and the reduced form give the same insert
     verdicts, rank, pivots and residuals, and the factor's combination lies
     on the generators that raised the rank and rebuilds target - residual."""
-    field, gens, targets, pack = stream
+    field, gens, targets = stream
     tracked, untracked = Echelon(field, track=True), Echelon(field)
     raising = []
     for i, gen in enumerate(gens):
@@ -313,9 +311,6 @@ def test_tracked_and_untracked_echelons_agree(stream):
             raising.append(i)
     assert tracked.rank == untracked.rank == len(raising)
     assert tracked.pivot_columns() == untracked.pivot_columns()
-    if pack:
-        tracked.pack()
-        untracked.pack()
     for target in targets:
         residual, combo = tracked.reduce(target)
         assert residual == untracked.reduce(target)[0]
@@ -337,7 +332,7 @@ def test_a_column_order_changes_no_verdict_or_combination(stream, rng):
     one's insert verdicts and rank, a residual that is zero exactly when the
     default one's is, and the same combination for members; each of its
     residuals is 0 at its own pivots."""
-    field, gens, targets, pack = stream
+    field, gens, targets = stream
     columns = sorted({c for gen in gens for c in gen})
     rng.shuffle(columns)
     ordered = Echelon(field, track=True, order={c: i for i, c in enumerate(columns)})
@@ -345,9 +340,6 @@ def test_a_column_order_changes_no_verdict_or_combination(stream, rng):
     for gen in gens:
         assert ordered.insert(gen) == default.insert(gen)
     assert ordered.rank == default.rank
-    if pack:
-        ordered.pack()
-        default.pack()
     for target in targets:
         residual, combo = ordered.reduce(target)
         default_residual, default_combo = default.reduce(target)
@@ -363,7 +355,7 @@ def test_a_column_order_on_an_untracked_echelon_changes_no_verdict(stream, rng):
     """An untracked echelon pivoting in a random column order gives the
     default one's insert verdicts and rank and keeps its reduced form; each
     residual is 0 at its pivots and differs from the target by a member."""
-    field, gens, targets, pack = stream
+    field, gens, targets = stream
     columns = sorted({c for gen in gens for c in gen})
     rng.shuffle(columns)
     ordered = Echelon(field, order={c: i for i, c in enumerate(columns)})
@@ -374,9 +366,6 @@ def test_a_column_order_on_an_untracked_echelon_changes_no_verdict(stream, rng):
     for i, row in enumerate(ordered.rows):
         assert row[ordered.pivots[i]] == 1
         assert not set(row) & (set(ordered.pivot_rows) - {ordered.pivots[i]})
-    if pack:
-        ordered.pack()
-        default.pack()
     for target in targets:
         residual, _ = ordered.reduce(target)
         assert not set(residual) & set(ordered.pivot_rows)
@@ -526,18 +515,51 @@ def test_verify_skips_zero_generator_entries():
     assert not SpanCertificate((F(2), F(3))).verify([F(2), F(4)], span)
 
 
-def test_verify_unpacks_only_rows_with_a_nonzero_coefficient(monkeypatch):
-    unpacked = []
-    getitem = _PackedRows.__getitem__
+def test_verify_unpacks_only_rows_with_a_nonzero_coefficient():
+    read = []
 
-    def counting(self, i):
-        unpacked.append(i)
-        return getitem(self, i)
+    class Counting(list):
+        def __getitem__(self, i):
+            read.append(i)
+            return super().__getitem__(i)
 
     span = as_span([[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]], 2)
-    monkeypatch.setattr(_PackedRows, "__getitem__", counting)
+    span.rows = Counting(span.rows)
     assert SpanCertificate((F(0), F(3), F(0))).verify([F(0), F(3)], span)
-    assert unpacked == [1]
+    assert read == [1]
+
+
+@pytest.mark.parametrize("field, row", [(QQ, {0: F(1), 1: F(0)}),
+                                        (PrimeField(7), {0: 1, 1: 7})], ids=["Q", "GF7"])
+def test_an_explicit_zero_in_a_generator_keeps_its_certificate_valid(field, row):
+    """A generator entry that is zero in the field is dropped, so the
+    certificate solve_in_span returns verifies; over Q the first prime
+    decides it, with no elimination over Q."""
+    span = Span([row], 2, field)
+    assert span.rows == [{0: field.one}]
+    target = [field.one, field.zero]
+    with counted_inserts() as counts:
+        cert = solve_in_span(target, span)
+    assert cert == SpanCertificate((field.one,))
+    assert cert.verify(target, span)
+    assert not counts[0]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_a_span_keeps_its_own_copy_of_the_rows(field):
+    """Changing the caller's rows after construction changes no solve."""
+    rows = [{0: field.one}, {1: field.one}]
+    span = Span(rows, 3, field)
+    rows[0][2] = field.one
+    rows.append({2: field.one})
+    assert span.rows == [{0: field.one}, {1: field.one}] and len(span) == 2
+    assert solve_in_span([field.zero, field.zero, field.one], span) is None
+
+
+@pytest.mark.parametrize("column", [-1, 2, 5])
+def test_a_generator_column_outside_the_dimension_is_refused(column):
+    with pytest.raises(ValueError, match="outside"):
+        Span([{0: F(1)}, {column: F(1)}], 2)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
@@ -649,20 +671,3 @@ def test_only_a_read_combination_runs_the_backward_pass(fermat_quartic, monkeypa
     assert calls[0] == 1
     pairing_matrix(fermat_quartic, 4)
     assert calls[0] == 1
-
-
-@pytest.mark.parametrize("p", [7, 2 ** 61 - 1, 2 ** 89 - 1])
-def test_a_packed_echelon_reduces_as_before(p):
-    """pack() keeps what reduce reads, for residues in 32-bit, 64-bit and
-    unbounded storage alike."""
-    field = PrimeField(p)
-    rng = random.Random(p % 1000)
-    ech = Echelon(field, track=True)
-    for _ in range(6):
-        ech.insert({j: rng.randrange(p) for j in rng.sample(range(9), 4)})
-    probes = [{j: rng.randrange(p) for j in rng.sample(range(9), 5)} for _ in range(5)]
-    before = [ech.reduce(v) for v in probes]
-    rank, pivots = ech.rank, ech.pivot_columns()
-    ech.pack()
-    assert [ech.reduce(v) for v in probes] == before
-    assert (ech.rank, ech.pivot_columns()) == (rank, pivots)
