@@ -19,8 +19,7 @@ the constant 2-form alpha with that row.  From it we compute:
   alone, so its generators and solve echelons are kept on the bundle.
 
 Reducing modulo F is division by F (polyring.poly_divmod): {F} is a
-Groebner basis of (F), so the remainder is the unique representative, and
-the quotient is the F-multiple an image certificate records.
+Groebner basis of (F), so the remainder is the unique representative.
 
 The subsystem polynomials always land in the Jacobian ideal, and the wedge
 of the i-th partial wedge with dF reproduces epsilon * omega_i times the
@@ -63,7 +62,6 @@ from .polyring import (
     basis_index,
     gcd_many,
     monomial_basis,
-    poly_divmod,
     slot_polynomials,
 )
 
@@ -221,7 +219,7 @@ class ImageCertificate:
     """P*R == sum_i multipliers[i] * omega_i + principal * F, exactly."""
 
     multipliers: Tuple[Polynomial, ...]   # degree-2 polynomials, one per omega_i
-    principal: Polynomial                 # the F-multiple absorbed by the quotient
+    principal: Polynomial                 # degree n-1, the multiplier of F
 
     def verify(self, bundle: AdjointBundle, R: Polynomial) -> bool:
         h = bundle.hypersurface
@@ -237,8 +235,8 @@ def image_membership(bundle: AdjointBundle, R: Polynomial) -> Optional[ImageCert
     Returns the degree-2 multiplier certificate on success, None otherwise.
     The span lies in J (F does, by Euler's identity), so over GF(p) P*R outside
     J is a no, read off h's cached ideal piece before any span is built (R is
-    not tested); over Q, where that piece is a rational elimination, the span
-    solve, decided modulo primes, answers.
+    not tested); otherwise one solve in the span of the m * omega_i and m * F,
+    decided modulo primes over Q, answers, for a multiple of F too.
     """
     if bundle.degenerate:
         raise DegenerateBundleError("cannot test image membership: base polynomial is 0")
@@ -246,13 +244,8 @@ def image_membership(bundle: AdjointBundle, R: Polynomial) -> Optional[ImageCert
     h._check_deformation(R)
     n, nvars, field = h.n, h.nvars, h.field
     adjoint = bundle.top_poly * R
-    # a multiple of F is in the image with zero multipliers and its quotient
-    principal, residual = poly_divmod(adjoint, h.poly)
-    if residual.is_zero():
-        zeros = tuple(Polynomial.zero(nvars, field) for _ in range(n))
-        return ImageCertificate(zeros, principal)
     k = n + h.degree - 1
-    if field.characteristic and h.ideal_piece(k).echelon.reduce(_poly_vector(residual, k))[0]:
+    if field.characteristic and h.ideal_piece(k).echelon.reduce(_poly_vector(adjoint, k))[0]:
         return None
     span, labels = _image_span(bundle)
     index = basis_index(nvars, k)

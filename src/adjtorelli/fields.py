@@ -12,11 +12,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above (Sorenson and Webster 2017)
+MR_BOUND = 3317044064679887385961981
 
 
-def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (ample for any usable modulus)."""
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, proven for n < MR_BOUND (ample for any
+    usable modulus); n >= MR_BOUND raises ValueError."""
+    if n >= MR_BOUND:
+        raise ValueError(f"modulus {n} is not below {MR_BOUND}, the bound of the primality test")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -75,7 +80,7 @@ class PrimeField:
     one = 1
 
     def __init__(self, p: int):
-        if p <= 2 or not is_probable_prime(p):
+        if p <= 2 or not is_prime(p):
             raise ValueError(f"modulus {p} is not an odd prime")
         self.p = p
         self.name = f"p:{p}"

@@ -275,10 +275,7 @@ def graded_membership(G: Polynomial, h: Hypersurface) -> Optional[MembershipCert
         return MembershipCertificate(
             tuple(Polynomial.zero(h.nvars, h.field) for _ in range(h.nvars))
         )
-    k = G.homogeneous_degree()
-    if k < h.degree - 1:
-        return None
-    residual, parts = h.ideal_piece(k).reduce(G)
+    residual, parts = h.ideal_piece(G.homogeneous_degree()).reduce(G)
     return None if residual else MembershipCertificate(parts)
 
 

@@ -86,16 +86,19 @@ def monomial_basis(nvars: int, k: int) -> Tuple[Monomial, ...]:
     if nvars <= 0:
         raise ValueError("need at least one variable")
     check_piece_dim(nvars, k)
-
-    def rec(vars_left: int, deg: int):
-        if vars_left == 1:
-            yield (deg,)
-            return
-        for e in range(deg, -1, -1):
-            for rest in rec(vars_left - 1, deg - e):
-                yield (e,) + rest
-
-    return tuple(rec(nvars, k))
+    # each successor lowers the last nonzero exponent before x_last by one and
+    # moves what x_last held, plus that one, to the variable right after it
+    e, last = [k] + [0] * (nvars - 1), nvars - 1
+    basis = [tuple(e)]
+    while e[last] < k:
+        i = last - 1
+        while not e[i]:
+            i -= 1
+        e[i] -= 1
+        moved, e[last] = e[last] + 1, 0
+        e[i + 1] = moved
+        basis.append(tuple(e))
+    return tuple(basis)
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,19 @@ from adjtorelli.polyring import Polynomial, monomial_basis
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN_COMMANDS_FILE = Path(__file__).resolve().parent / "data" / "golden_commands.txt"
+
+
+def golden_commands():
+    """Golden file name -> adjtorelli argv, from tests/data/golden_commands.txt,
+    one space-separated line each after the '#' comment lines."""
+    commands = {}
+    for line in GOLDEN_COMMANDS_FILE.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("#"):
+            golden, *argv = line.split()
+            assert golden not in commands, golden
+            commands[golden] = argv
+    return commands
 
 
 def subprocess_env(hashseed):

@@ -48,7 +48,7 @@ from adjtorelli.exactla import rref
 from adjtorelli.polyring import Polynomial, monomial_basis
 from adjtorelli.torelli import check, monomial_product_criterion
 
-from conftest import fermat, random_homogeneous, subprocess_env, x
+from conftest import fermat, golden_commands, random_homogeneous, subprocess_env, x
 
 DATA = Path(__file__).parent / "data"
 QUARTIC_DIMS = [1, 4, 10, 16, 19, 16, 10, 4, 1, 0]
@@ -282,14 +282,8 @@ def test_criterion_9_fixed_divisor_genericity(fermat_quartic):
                 f"({len(occurrences)} logged occurrences)")
 
 
-GOLDEN_COMMANDS = {
-    "golden_torelli.json": ["torelli", "fermat4.prob", "--trials", "3",
-                            "--seed", "0", "--json"],
-    "golden_jacobian.json": ["jacobian", "fermat4.prob", "--degree", "4",
-                             "--json"],
-    "golden_adjoint.json": ["adjoint", "fermat4.prob", "--w", "01,02,03",
-                            "--json"],
-}
+GOLDEN_COMMANDS = {name: golden_commands()[name] for name in (
+    "golden_torelli.json", "golden_jacobian.json", "golden_adjoint.json")}
 
 
 def test_criterion_10_cli_determinism():

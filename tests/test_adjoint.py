@@ -255,12 +255,15 @@ def test_image_membership_rejects_degenerate(fermat_quartic):
         image_membership(bundle, x(0) ** 3 * x(1))
 
 
-@pytest.mark.parametrize("name, field", [
+SAMPLED_HYPERSURFACES = pytest.mark.parametrize("name, field", [
     ("fermat4.prob", QQ),
     ("fermat4.prob", PrimeField(7)),
     ("fermat5.prob", PrimeField(32003)),
     ("sparse5.prob", PrimeField(32003)),
 ], ids=["fermat4-q", "fermat4-gf7", "fermat5-gf32003", "sparse5-gf32003"])
+
+
+@SAMPLED_HYPERSURFACES
 def test_image_span_lies_in_the_jacobian_ideal(name, field):
     """Every image generator m * omega_i and m * F is in J_(n+d-1): omega_i
     is sum_j A_ij F_j minus a multiple of F, and F is in J by Euler's
@@ -278,6 +281,34 @@ def test_image_span_lies_in_the_jacobian_ideal(name, field):
             G = slots[slot].mul_monomial(mono)
             cert = graded_membership(G, h)
             assert cert is not None and cert.verify(h, G)
+
+
+@SAMPLED_HYPERSURFACES
+def test_every_image_generator_raises_the_rank(name, field):
+    """The m * omega_i and m * F of a sampled bundle are linearly
+    independent, so an image certificate is the unique combination of them:
+    the span solve of c*F*P can only return zero multipliers and c*P."""
+    F, _ = load_problem(DATA / name).build(field)
+    h = Hypersurface(F)
+    for trial in range(3):
+        bundle, _ = sample_bundle(h, seed=0, trial=trial)
+        span, _ = adjoint._image_span(bundle)
+        echelon = Echelon(field)
+        assert all(echelon.insert(row) for row in span.rows)
+
+
+@SAMPLED_HYPERSURFACES
+def test_a_multiple_of_f_has_zero_multipliers_and_principal_c_times_p(name, field):
+    """R = c*F, R = 0 among them, goes through the span solve like any R."""
+    F, _ = load_problem(DATA / name).build(field)
+    h = Hypersurface(F)
+    bundle, _ = sample_bundle(h, seed=0, trial=1)
+    for c in (1, -3, 5, 0):
+        R = F * field.coerce(c)
+        cert = image_membership(bundle, R)
+        assert cert is not None and cert.verify(bundle, R)
+        assert all(s.is_zero() for s in cert.multipliers)
+        assert cert.principal == bundle.top_poly * field.coerce(c)
 
 
 def test_an_image_no_over_gfp_builds_no_image_span():
@@ -544,10 +575,9 @@ def test_image_membership_over_q_eliminates_nothing_over_q(fermat_quartic, monke
 
 
 def test_reduction_modulo_f_uses_no_echelon(monkeypatch):
-    """reduce_mod and the principal step of image_membership divide by F:
-    neither inserts into nor reduces on any Echelon."""
+    """reduce_mod divides by F: it neither inserts into nor reduces on any
+    Echelon."""
     h = Hypersurface(fermat(4, 4))  # fresh, so nothing is cached on it
-    bundle, _ = sample_bundle(h, seed=0, trial=0)
     calls = [0]
     insert, reduce = Echelon.insert, Echelon.reduce
 
@@ -565,10 +595,7 @@ def test_reduction_modulo_f_uses_no_echelon(monkeypatch):
     for k in (4, 5, 6):
         G = random_homogeneous(4, k, rng)
         assert poly_div_exact(G - reduce_mod(h, G), h.poly) is not None
-    multiple = image_membership(bundle, h.poly)
     assert calls[0] == 0
-    assert multiple is not None and multiple.verify(bundle, h.poly)
-    assert multiple.principal == bundle.top_poly
 
 
 # ----- sampling determinism ---------------------------------------------------------------

@@ -2,7 +2,6 @@ import inspect
 import io
 import json
 import random
-import shlex
 import signal
 import subprocess
 import sys
@@ -24,7 +23,7 @@ from adjtorelli.parsing import (
 )
 from adjtorelli.polyring import MAX_COEFF_BITS, MAX_PIECE_DIM, Polynomial
 
-from conftest import fermat, random_homogeneous, subprocess_env, x
+from conftest import fermat, golden_commands, random_homogeneous, subprocess_env, x
 
 DATA = Path(__file__).parent / "data"
 
@@ -375,40 +374,7 @@ def test_human_output_is_default():
     assert "{" not in text.splitlines()[0]
 
 
-GOLDEN_COMMANDS = {
-    "golden_torelli.json": ["torelli", "fermat4.prob", "--trials", "3",
-                            "--seed", "0", "--json"],
-    "golden_jacobian.json": ["jacobian", "fermat4.prob", "--degree", "4",
-                             "--json"],
-    "golden_adjoint.json": ["adjoint", "fermat4.prob", "--w", "01,02,03",
-                            "--json"],
-    # certificates depend on the order generators enter each span
-    "golden_torelli_certificates.json": ["torelli", "fermat4_trivial.prob",
-                                         "--json", "--certificates"],
-    "golden_adjoint_certificates.json": ["adjoint", "fermat4.prob", "--w",
-                                         "01,02,03", "--json", "--certificates"],
-    # the Fermat quintic threefold in P^4 over Q, whose span solves are decided
-    # modulo primes
-    "golden_torelli_fermat5_certificates.json": ["torelli", "fermat5.prob", "--json",
-                                                 "--certificates", "--trials", "1"],
-    # the same threefold over GF(32003), solved in the field itself
-    "golden_torelli_fermat5_gf32003_certificates.json": [
-        "torelli", "fermat5.prob", "--field", "p:32003", "--trials", "2", "--seed", "0",
-        "--json", "--certificates"],
-    # the quartic over GF(7), where residues wrap on almost every product
-    "golden_torelli_gf7_certificates.json": [
-        "torelli", "fermat4_trivial.prob", "--field", "p:7", "--trials", "3", "--seed", "0",
-        "--json", "--certificates"],
-    # a non-Fermat threefold in P^4 over GF(32003), whose smoothness rows have
-    # several terms, so they go through the ordered echelon
-    "golden_torelli_sparse5_gf32003_certificates.json": [
-        "torelli", "sparse5.prob", "--field", "p:32003", "--trials", "2", "--seed", "0",
-        "--json", "--certificates"],
-    # the same threefold with R outside the Jacobian ideal: every answer is no
-    "golden_torelli_sparse5_nontrivial_gf32003_certificates.json": [
-        "torelli", "sparse5_nontrivial.prob", "--field", "p:32003", "--trials", "2",
-        "--seed", "0", "--json", "--certificates"],
-}
+GOLDEN_COMMANDS = golden_commands()
 
 
 @pytest.mark.parametrize("golden_name", sorted(GOLDEN_COMMANDS))
@@ -428,26 +394,6 @@ def test_golden_reports_are_stable(golden_name):
     assert outputs[0] == expected
 
 
-WORKFLOW = Path(__file__).parent.parent / ".github" / "workflows" / "tier1.yml"
-
-
-def test_the_ci_golden_job_runs_the_golden_commands():
-    """The golden-python310 job's check lines name the files and argv of
-    GOLDEN_COMMANDS, and its file count is theirs."""
-    job = WORKFLOW.read_text(encoding="utf-8").split("\n  golden-python310:\n")[1]
-    job = job.split("\n\n")[0]  # up to the next job
-    lines = [line.strip() for line in job.splitlines()]
-    checks = {}
-    for line in lines:
-        if line.startswith("check "):
-            _, golden, *argv = shlex.split(line)
-            assert golden not in checks, golden
-            checks[golden] = argv
-    assert checks == GOLDEN_COMMANDS
-    count = f'test "$(ls golden_*.json | wc -l)" -eq {len(GOLDEN_COMMANDS)}'
-    assert count in lines
-
-
 def test_adjoint_without_r_reports_null_memberships(tmp_path):
     prob = tmp_path / "plain.prob"
     prob.write_text("n = 3\nF = x0^4 + x1^4 + x2^4 + x3^4\n")
@@ -465,6 +411,26 @@ def test_prime_field_flag_runs():
     )
     assert code == 0
     assert json.loads(text)["verdicts"]["quotient_dimension"] == 19
+
+
+@pytest.mark.parametrize("modulus", [318665857834031151167461, 3317044064679887385961981,
+                                     2 ** 89 - 1])
+def test_a_composite_or_unproven_modulus_is_an_input_error(modulus):
+    """The two least strong pseudoprimes to the first 12 and 13 prime bases,
+    and a prime past the bound below which the test is proven."""
+    code, _ = run_cli("torelli", str(DATA / "fermat4.prob"), "--field", f"p:{modulus}")
+    assert code == 1
+
+
+def test_a_quadric_in_1200_variables_runs_without_a_traceback(tmp_path):
+    prob = tmp_path / "quad.prob"
+    prob.write_text("n = 1200\nF = " + " + ".join(f"x{i}^2" for i in range(1201)) + "\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "adjtorelli", "jacobian", str(prob), "--degree", "1"],
+        env=subprocess_env("0"), capture_output=True,
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stderr == b""
 
 
 def test_timings_flag_adds_section():

@@ -237,7 +237,16 @@ def test_membership_of_f_itself(fermat_quartic):
 
 
 def test_membership_below_generator_degree(fermat_quartic):
-    assert graded_membership(x(0) ** 2, fermat_quartic) is None
+    """Below degree d-1 the ideal piece has no generator, so every nonzero G
+    there is a non-member, over Q and GF(p): each monomial and a dense sum."""
+    rng = random.Random(5)
+    for h in (fermat_quartic, Hypersurface(fermat(4, 4, PrimeField(7))),
+              Hypersurface(fermat(4, 4, PrimeField(32003)))):
+        for k in range(h.degree - 1):
+            monomials = [Polynomial.from_monomial(4, m, field=h.field)
+                         for m in monomial_basis(4, k)]
+            for G in monomials + [random_homogeneous(4, k, rng, h.field)]:
+                assert G.is_zero() or graded_membership(G, h) is None
     zero_cert = graded_membership(Polynomial.zero(4), fermat_quartic)
     assert zero_cert is not None
 

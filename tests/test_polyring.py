@@ -127,6 +127,26 @@ def test_monomial_basis_shape(nvars, k):
     assert keys == sorted(keys, reverse=True)
 
 
+def _recursive_basis(nvars, k):
+    """The reference order: the first exponent descending, then the rest in
+    the same order."""
+    if nvars == 1:
+        return [(k,)]
+    return [(e,) + rest for e in range(k, -1, -1) for rest in _recursive_basis(nvars - 1, k - e)]
+
+
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_monomial_basis_keeps_the_recursive_order(nvars):
+    for k in range(7):
+        assert monomial_basis(nvars, k) == tuple(_recursive_basis(nvars, k))
+
+
+def test_monomial_basis_enumerates_many_variables_without_recursion():
+    basis = monomial_basis(3000, 1)  # past the interpreter's recursion limit
+    assert len(basis) == 3000
+    assert basis[0][0] == basis[-1][-1] == 1
+
+
 def test_piece_budget_is_checked_before_enumerating():
     check_piece_dim(6, 19)  # smoothness piece of a quintic fourfold: 42504
     with pytest.raises(ValueError, match="degree-25 piece in 6 variables"):
